@@ -30,7 +30,7 @@ fn bench_closed_loop() {
             .pdn(pdn.clone())
             .build()
             .expect("loop builds");
-        sim.run(CYCLES);
+        sim.step_n(CYCLES);
         black_box(sim.report().committed)
     });
     bench("control/closed_loop/controlled_20k", 10, 1, || {
@@ -46,7 +46,7 @@ fn bench_closed_loop() {
             })
             .build()
             .expect("loop builds");
-        sim.run(CYCLES);
+        sim.step_n(CYCLES);
         black_box(sim.report().committed)
     });
     bench("control/closed_loop/controlled_recorded_20k", 10, 1, || {
@@ -63,7 +63,7 @@ fn bench_closed_loop() {
             .recorder(voltctl_telemetry::MemoryRecorder::new())
             .build()
             .expect("loop builds");
-        sim.run(CYCLES);
+        sim.step_n(CYCLES);
         sim.finish_telemetry();
         black_box(sim.report().committed)
     });

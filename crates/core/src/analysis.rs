@@ -141,7 +141,7 @@ pub fn evaluate_program_traced<R: voltctl_telemetry::Recorder, T: voltctl_trace:
         .power(setup.power.clone())
         .pdn(setup.pdn.clone())
         .build()?;
-    baseline.run(warmup + cycles);
+    baseline.step_n(warmup + cycles);
 
     let mut controlled = ControlLoop::builder(program.clone())
         .cpu_config(setup.cpu_config.clone())
@@ -153,7 +153,7 @@ pub fn evaluate_program_traced<R: voltctl_telemetry::Recorder, T: voltctl_trace:
         .recorder(recorder)
         .tracer(tracer)
         .build()?;
-    controlled.run(warmup + cycles);
+    controlled.step_n(warmup + cycles);
     controlled.finish_telemetry();
 
     let evaluation = Evaluation {

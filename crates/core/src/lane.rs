@@ -1,31 +1,36 @@
 //! Batched lockstep execution of many [`ControlLoop`]s (the lane path).
 //!
-//! A grid experiment steps hundreds of independent control loops, and the
-//! scalar profile is dominated by [`Cpu::step`] (~75% of per-cycle cost)
-//! with the control-side bookkeeping spread across small heap-scattered
-//! objects. [`LaneLoop`] transposes W loops into structure-of-arrays
-//! state — PDN state-space coefficients in [`PdnLanes`], sensor delay
-//! pipelines in one flat ring, controller FSM fields in per-field arrays
-//! — and steps all lanes in lockstep with branch-minimized passes.
+//! A grid experiment steps hundreds of independent control loops, and
+//! the scalar profile is dominated by [`Cpu::step`]. [`LaneLoop`] wins by
+//! **CPU sharing**: the simulator is fully deterministic, so two lanes
+//! whose CPUs are byte-identical (same program, configuration,
+//! architectural and microarchitectural state — including clock-gating)
+//! and whose power models are parameter-identical *must* produce
+//! identical activity every cycle until their controllers command
+//! different gating. Lanes are therefore grouped: one [`Cpu::step`] and
+//! one power evaluation per group per cycle, broadcast to every member
+//! lane. In a sweep, the uncontrolled baselines of one workload at every
+//! configuration collapse into a single group for the whole run, and
+//! each controlled lane rides along until its first intervention.
 //!
-//! The big win, though, is **CPU sharing**: the simulator is fully
-//! deterministic, so two lanes whose CPUs are byte-identical (same
-//! program, configuration, architectural and microarchitectural state —
-//! including clock-gating) and whose power models are
-//! parameter-identical *must* produce identical activity every cycle
-//! until their controllers command different gating. Lanes are therefore
-//! grouped: one [`Cpu::step`] and one power evaluation per group per
-//! cycle, broadcast to every member lane. In a sweep, the uncontrolled
-//! baselines of one workload at every configuration collapse into a
-//! single group for the whole run, and each controlled lane rides along
-//! until its first intervention.
+//! Everything downstream of the power model — supply network, sensor,
+//! controller, actuator, ground-truth observers, band counters, sample
+//! trace — is each lane's own copy of the scalar loop's state (the
+//! crate-private `LoopTail`), advanced by the very stage methods
+//! [`ControlLoop::step`] calls. There is no second copy of the
+//! per-cycle algorithm, so per lane every f64 operation (including the
+//! conditional sensor-noise RNG draw) happens in scalar order by
+//! construction. The differential oracle in `tests/oracle_lanes.rs`
+//! guards what the lane path adds on top: grouping, divergence, exits,
+//! and scatter.
 //!
 //! # Divergence-exit rules
 //!
-//! * **Gating divergence**: at the end of each cycle every lane's desired
-//!   gating is reduced to a 6-bit mask (actuation is absolute — the
-//!   actuator always releases everything first, so the mask is a pure
-//!   function of the controller action and scope). Lanes in a group are
+//! * **Gating divergence**: at the end of each cycle every controlled
+//!   lane's command is applied by its own actuator to a released gating
+//!   state and reduced to a 6-bit mask (actuation is absolute — the
+//!   actuator always releases everything first — so the mask is the
+//!   gating the scalar loop would be left with). Lanes in a group are
 //!   partitioned by mask; the first partition keeps the group's CPU,
 //!   every other partition *forks* a clone. Groups split and never
 //!   merge.
@@ -35,33 +40,20 @@
 //!   clone is parked on the lane so it can still be scattered back into
 //!   a scalar [`ControlLoop`] while its former group runs on.
 //! * **Unsupported observers**: loops carrying a live recorder or tracer
-//!   never enter the lane path (those observers fire in scalar step
-//!   order); the engine falls back to the scalar path for such cells.
-//!   The in-memory [`LoopSample`] trace *is* supported — samples are
-//!   scattered per lane in scalar order.
-//!
-//! Bitwise identity with the scalar path is a hard contract, enforced by
-//! the differential oracle in `tests/oracle_lanes.rs`: per lane, every
-//! f64 operation happens in exactly the order [`ControlLoop::step`]
-//! performs it, including the *conditional* sensor-noise RNG draw.
+//!   never enter the lane path (those observers fire from the scalar
+//!   step); the engine falls back to the scalar path for such cells.
+//!   The in-memory [`LoopSample`] trace *is* supported — it lives in
+//!   the lane's own state.
 
-use std::collections::VecDeque;
-
-use crate::actuator::AsymmetricActuator;
-use crate::controller::{ControlAction, ControllerParts, ThresholdController};
-use crate::loopsim::{power_fingerprint, ControlLoop, LaneParts, LoopReport, LoopSample};
-use crate::sensor::{SensorParts, SensorReading, ThresholdSensor};
+use crate::loopsim::{
+    cycle_draw, power_fingerprint, ControlLoop, LoopReport, LoopSample, LoopTail,
+};
 use voltctl_cpu::{Cpu, GatingState};
-use voltctl_pdn::{PdnLanes, VoltageHistogram, VoltageMonitor};
-use voltctl_power::{EnergyAccumulator, PowerModel};
-use voltctl_telemetry::Rng;
+use voltctl_power::PowerModel;
 
 /// Gating-mask sentinel for lanes that issued no command this cycle
 /// (uncontrolled lanes): keep whatever gating the group already has.
 const MASK_KEEP: u8 = 0x40;
-
-/// `ctrl_last` encoding: the controller has never decided.
-const LAST_NEVER: u8 = 0;
 
 /// A lane's materialized end-of-run result.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,11 +71,10 @@ pub struct LaneOutcome {
 struct LaneGroup {
     cpu: Cpu,
     power: PowerModel,
-    vdd: f64,
     lanes: Vec<usize>,
 }
 
-/// W control loops in structure-of-arrays layout, stepped in lockstep.
+/// W control loops stepped in lockstep over shared CPU groups.
 ///
 /// Build one with [`gather`](LaneLoop::gather), drive it with
 /// [`run`](LaneLoop::run) or [`step_all`](LaneLoop::step_all), then read
@@ -91,48 +82,15 @@ struct LaneGroup {
 /// [`into_loops`](LaneLoop::into_loops) / [`save_lane`](LaneLoop::save_lane).
 #[derive(Debug)]
 pub struct LaneLoop {
-    // Lane-indexed supply/observer state.
-    pdn: PdnLanes,
-    monitor: Vec<VoltageMonitor>,
-    histogram: Vec<VoltageHistogram>,
-    energy: Vec<EnergyAccumulator>,
-    // Sensor state, field-major. `has_sensor` gates the whole block;
-    // the delay pipelines live in one flat ring (`ring[ring_off[l]..
-    // ring_off[l]+ring_cap[l]]`, head = oldest entry).
-    has_sensor: Vec<bool>,
-    sens_v_low: Vec<f64>,
-    sens_v_high: Vec<f64>,
-    sens_noise_v: Vec<f64>,
-    sens_rng: Vec<Rng>,
-    ring: Vec<f64>,
-    ring_off: Vec<usize>,
-    ring_cap: Vec<usize>,
-    ring_head: Vec<usize>,
-    // Controller FSM, field-major. `ctrl_last`: 0 = never decided,
-    // 1 = None, 2 = ReduceCurrent, 3 = IncreaseCurrent.
-    ctrl_last: Vec<u8>,
-    reduce_cycles: Vec<u64>,
-    increase_cycles: Vec<u64>,
-    reduce_events: Vec<u64>,
-    increase_events: Vec<u64>,
-    actuator: Vec<AsymmetricActuator>,
-    cycles_in_low: Vec<u64>,
-    cycles_in_normal: Vec<u64>,
-    cycles_in_high: Vec<u64>,
-    trace: Vec<Option<Vec<LoopSample>>>,
-    // Execution bookkeeping.
+    /// Each lane's supply/sensor/controller/observer state.
+    tails: Vec<LoopTail>,
     groups: Vec<LaneGroup>,
     lane_group: Vec<usize>,
     budget: Vec<u64>,
     parked: Vec<Option<Cpu>>,
     outcome: Vec<Option<LaneOutcome>>,
-    // Per-cycle scratch, lane-indexed.
-    active: Vec<usize>,
-    scratch_watts: Vec<f64>,
-    scratch_amps: Vec<f64>,
-    scratch_volts: Vec<f64>,
-    scratch_pre_mask: Vec<u8>,
-    scratch_mask: Vec<u8>,
+    /// Per-cycle scratch: each lane's commanded gating mask.
+    next_mask: Vec<u8>,
 }
 
 /// Reduces a gating state to its 6-bit mask.
@@ -145,10 +103,8 @@ fn mask_of(g: GatingState) -> u8 {
         | (g.phantom_il1 as u8) << 5
 }
 
-/// Sets a gating state to exactly the bits of `mask`. Equivalent to
-/// `AsymmetricActuator::apply` for the action/scope that produced the
-/// mask: apply always starts from `release_all`, so the result carries
-/// no dependence on the prior state.
+/// Sets a gating state to exactly the bits of `mask` (the inverse of
+/// [`mask_of`]).
 fn apply_mask(g: &mut GatingState, mask: u8) {
     g.gate_fu = mask & 1 != 0;
     g.gate_dl1 = mask & 2 != 0;
@@ -158,46 +114,8 @@ fn apply_mask(g: &mut GatingState, mask: u8) {
     g.phantom_il1 = mask & 32 != 0;
 }
 
-/// The gating mask `actuator.apply(action, ..)` would leave behind.
-fn desired_mask(actuator: &AsymmetricActuator, action: ControlAction) -> u8 {
-    let scope_mask = |scope: crate::actuator::ActuationScope, shift: u32| -> u8 {
-        let mut m = 0u8;
-        for &d in scope.domains() {
-            m |= match d {
-                voltctl_cpu::Domain::Fu => 1,
-                voltctl_cpu::Domain::Dl1 => 2,
-                voltctl_cpu::Domain::Il1 => 4,
-            } << shift;
-        }
-        m
-    };
-    match action {
-        ControlAction::None => 0,
-        ControlAction::ReduceCurrent => scope_mask(actuator.reduce, 0),
-        ControlAction::IncreaseCurrent => scope_mask(actuator.increase, 3),
-    }
-}
-
-fn encode_last(last: Option<ControlAction>) -> u8 {
-    match last {
-        None => LAST_NEVER,
-        Some(ControlAction::None) => 1,
-        Some(ControlAction::ReduceCurrent) => 2,
-        Some(ControlAction::IncreaseCurrent) => 3,
-    }
-}
-
-fn decode_last(code: u8) -> Option<ControlAction> {
-    match code {
-        LAST_NEVER => None,
-        1 => Some(ControlAction::None),
-        2 => Some(ControlAction::ReduceCurrent),
-        _ => Some(ControlAction::IncreaseCurrent),
-    }
-}
-
 impl LaneLoop {
-    /// Transposes `loops` into lane state, assigning each lane the cycle
+    /// Takes `loops` into lane state, assigning each lane the cycle
     /// budget in `budgets` (a lane exits once it has stepped that many
     /// cycles, or earlier when its program finishes — exactly
     /// [`ControlLoop::step_n`] semantics).
@@ -212,40 +130,13 @@ impl LaneLoop {
         assert_eq!(loops.len(), budgets.len(), "one budget per lane");
         let n = loops.len();
         let mut lanes = LaneLoop {
-            pdn: PdnLanes::default(),
-            monitor: Vec::with_capacity(n),
-            histogram: Vec::with_capacity(n),
-            energy: Vec::with_capacity(n),
-            has_sensor: Vec::with_capacity(n),
-            sens_v_low: Vec::with_capacity(n),
-            sens_v_high: Vec::with_capacity(n),
-            sens_noise_v: Vec::with_capacity(n),
-            sens_rng: Vec::with_capacity(n),
-            ring: Vec::new(),
-            ring_off: Vec::with_capacity(n),
-            ring_cap: Vec::with_capacity(n),
-            ring_head: Vec::with_capacity(n),
-            ctrl_last: Vec::with_capacity(n),
-            reduce_cycles: Vec::with_capacity(n),
-            increase_cycles: Vec::with_capacity(n),
-            reduce_events: Vec::with_capacity(n),
-            increase_events: Vec::with_capacity(n),
-            actuator: Vec::with_capacity(n),
-            cycles_in_low: Vec::with_capacity(n),
-            cycles_in_normal: Vec::with_capacity(n),
-            cycles_in_high: Vec::with_capacity(n),
-            trace: Vec::with_capacity(n),
+            tails: Vec::with_capacity(n),
             groups: Vec::new(),
             lane_group: Vec::with_capacity(n),
             budget: budgets.to_vec(),
-            parked: Vec::with_capacity(n),
-            outcome: Vec::with_capacity(n),
-            active: Vec::with_capacity(n),
-            scratch_watts: vec![0.0; n],
-            scratch_amps: vec![0.0; n],
-            scratch_volts: vec![0.0; n],
-            scratch_pre_mask: vec![0; n],
-            scratch_mask: vec![0; n],
+            parked: vec![None; n],
+            outcome: vec![None; n],
+            next_mask: vec![MASK_KEEP; n],
         };
 
         // Group keys: (power fingerprint, fnv of CPU bytes, CPU bytes).
@@ -253,13 +144,11 @@ impl LaneLoop {
         // fingerprint, so byte equality really does imply identical
         // future behavior under identical gating commands.
         let mut keys: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        let mut pdn_states = Vec::with_capacity(n);
-
         for (lane, sim) in loops.into_iter().enumerate() {
-            let parts = sim.into_lane_parts();
-            let power_fp = power_fingerprint(&parts.power);
+            let (cpu, power, tail) = sim.into_tail();
+            let power_fp = power_fingerprint(&power);
             let mut w = voltctl_snap::ByteWriter::new();
-            parts.cpu.pack_state(&mut w);
+            cpu.pack_state(&mut w);
             let cpu_bytes = w.into_bytes();
             let cpu_fp = voltctl_snap::fnv1a(&cpu_bytes);
 
@@ -269,11 +158,9 @@ impl LaneLoop {
                     *pfp == power_fp && *cfp == cpu_fp && *bytes == cpu_bytes
                 })
                 .unwrap_or_else(|| {
-                    let vdd = parts.power.params().vdd;
                     lanes.groups.push(LaneGroup {
-                        cpu: parts.cpu,
-                        power: parts.power,
-                        vdd,
+                        cpu,
+                        power,
                         lanes: Vec::new(),
                     });
                     keys.push((power_fp, cpu_fp, cpu_bytes));
@@ -281,54 +168,8 @@ impl LaneLoop {
                 });
             lanes.groups[group].lanes.push(lane);
             lanes.lane_group.push(group);
-
-            pdn_states.push(parts.pdn_state);
-            lanes.monitor.push(parts.monitor);
-            lanes.histogram.push(parts.histogram);
-            lanes.energy.push(parts.energy);
-
-            match parts.sensor {
-                Some(sensor) => {
-                    let p = sensor.into_lane_parts();
-                    lanes.has_sensor.push(true);
-                    lanes.sens_v_low.push(p.v_low);
-                    lanes.sens_v_high.push(p.v_high);
-                    lanes.sens_noise_v.push(p.noise_v);
-                    lanes.sens_rng.push(p.rng);
-                    lanes.ring_off.push(lanes.ring.len());
-                    lanes.ring_cap.push(p.pipeline.len());
-                    lanes.ring_head.push(0);
-                    // Oldest-first, so head 0 points at the next value
-                    // `pop_front` would have yielded.
-                    lanes.ring.extend(p.pipeline.iter());
-                }
-                None => {
-                    lanes.has_sensor.push(false);
-                    lanes.sens_v_low.push(0.0);
-                    lanes.sens_v_high.push(0.0);
-                    lanes.sens_noise_v.push(0.0);
-                    lanes.sens_rng.push(Rng::new(0));
-                    lanes.ring_off.push(lanes.ring.len());
-                    lanes.ring_cap.push(0);
-                    lanes.ring_head.push(0);
-                }
-            }
-
-            let c = parts.controller.into_lane_parts();
-            lanes.ctrl_last.push(encode_last(c.last));
-            lanes.reduce_cycles.push(c.reduce_cycles);
-            lanes.increase_cycles.push(c.increase_cycles);
-            lanes.reduce_events.push(c.reduce_events);
-            lanes.increase_events.push(c.increase_events);
-            lanes.actuator.push(parts.actuator);
-            lanes.cycles_in_low.push(parts.cycles_in_low);
-            lanes.cycles_in_normal.push(parts.cycles_in_normal);
-            lanes.cycles_in_high.push(parts.cycles_in_high);
-            lanes.trace.push(parts.trace);
-            lanes.parked.push(None);
-            lanes.outcome.push(None);
+            lanes.tails.push(tail);
         }
-        lanes.pdn = PdnLanes::gather(&pdn_states);
         lanes
     }
 
@@ -354,7 +195,7 @@ impl LaneLoop {
 
     /// The lane's run report at its current state (live lanes included).
     pub fn report(&self, lane: usize) -> LoopReport {
-        self.make_report(lane, self.lane_cpu(lane))
+        self.tails[lane].report(self.lane_cpu(lane))
     }
 
     /// Digest of the lane CPU's architectural state.
@@ -365,7 +206,7 @@ impl LaneLoop {
     /// Takes the lane's recorded per-cycle trace (empty unless the
     /// gathered loop had `record_trace` enabled).
     pub fn take_trace(&mut self, lane: usize) -> Vec<LoopSample> {
-        self.trace[lane].take().unwrap_or_default()
+        self.tails[lane].take_trace()
     }
 
     fn lane_cpu(&self, lane: usize) -> &Cpu {
@@ -375,87 +216,33 @@ impl LaneLoop {
         }
     }
 
-    fn make_report(&self, lane: usize, cpu: &Cpu) -> LoopReport {
-        let stats = cpu.stats();
-        LoopReport {
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc(),
-            emergencies: self.monitor[lane].report(),
-            energy_joules: self.energy[lane].joules(),
-            avg_power: self.energy[lane].average_power(),
-            reduce_cycles: self.reduce_cycles[lane],
-            increase_cycles: self.increase_cycles[lane],
-            interventions: self.reduce_events[lane] + self.increase_events[lane],
-            cycles_in_low: self.cycles_in_low[lane],
-            cycles_in_normal: self.cycles_in_normal[lane],
-            cycles_in_high: self.cycles_in_high[lane],
-        }
-    }
-
-    /// Scatters one lane back into the scalar parts a [`ControlLoop`]
-    /// assembles from; every field is cloned, the lane keeps running.
-    fn lane_parts(&self, lane: usize) -> LaneParts {
-        let group = &self.groups[self.lane_group[lane]];
-        let cpu = match &self.parked[lane] {
-            Some(cpu) => cpu.clone(),
-            None => group.cpu.clone(),
-        };
-        let sensor = self.has_sensor[lane].then(|| {
-            let (off, cap, head) = (
-                self.ring_off[lane],
-                self.ring_cap[lane],
-                self.ring_head[lane],
-            );
-            let mut pipeline = VecDeque::with_capacity(cap + 1);
-            for k in 0..cap {
-                pipeline.push_back(self.ring[off + (head + k) % cap]);
-            }
-            ThresholdSensor::from_lane_parts(SensorParts {
-                v_low: self.sens_v_low[lane],
-                v_high: self.sens_v_high[lane],
-                pipeline,
-                noise_v: self.sens_noise_v[lane],
-                rng: self.sens_rng[lane].clone(),
-            })
-        });
-        LaneParts {
-            cpu,
-            power: group.power.clone(),
-            pdn_state: self.pdn.scatter(lane),
-            v_nominal: self.pdn.v_nominal(lane),
-            sensor,
-            controller: ThresholdController::from_lane_parts(ControllerParts {
-                last: decode_last(self.ctrl_last[lane]),
-                reduce_cycles: self.reduce_cycles[lane],
-                increase_cycles: self.increase_cycles[lane],
-                reduce_events: self.reduce_events[lane],
-                increase_events: self.increase_events[lane],
-            }),
-            actuator: self.actuator[lane],
-            monitor: self.monitor[lane].clone(),
-            histogram: self.histogram[lane].clone(),
-            energy: self.energy[lane],
-            trace: self.trace[lane].clone(),
-            cycles_in_low: self.cycles_in_low[lane],
-            cycles_in_normal: self.cycles_in_normal[lane],
-            cycles_in_high: self.cycles_in_high[lane],
-        }
-    }
-
     /// Serializes one lane as a scalar loop snapshot — byte-identical to
     /// the [`ControlLoop::save`] of a loop stepped scalar to the same
     /// point, so `--shards`/`--resume` round-trip through the lane path.
     pub fn save_lane(&self, lane: usize) -> Vec<u8> {
-        ControlLoop::from_lane_parts(self.lane_parts(lane)).save()
+        let power = self.groups[self.lane_group[lane]].power.clone();
+        ControlLoop::from_tail(self.lane_cpu(lane).clone(), power, self.tails[lane].clone()).save()
     }
 
     /// Scatters every lane back into a scalar [`ControlLoop`], in lane
     /// order. Each scattered loop continues bit-for-bit from where the
     /// lane left off.
     pub fn into_loops(self) -> Vec<ControlLoop> {
-        (0..self.width())
-            .map(|l| ControlLoop::from_lane_parts(self.lane_parts(l)))
+        let LaneLoop {
+            tails,
+            groups,
+            lane_group,
+            parked,
+            ..
+        } = self;
+        tails
+            .into_iter()
+            .zip(parked)
+            .zip(lane_group)
+            .map(|((tail, parked), g)| {
+                let cpu = parked.unwrap_or_else(|| groups[g].cpu.clone());
+                ControlLoop::from_tail(cpu, groups[g].power.clone(), tail)
+            })
             .collect()
     }
 
@@ -503,7 +290,7 @@ impl LaneLoop {
             for &l in &exits {
                 let cpu = self.groups[g_idx].cpu.clone();
                 self.outcome[l] = Some(LaneOutcome {
-                    report: self.make_report(l, &cpu),
+                    report: self.tails[l].report(&cpu),
                     arch_digest: cpu.arch_digest(),
                 });
                 self.parked[l] = Some(cpu);
@@ -514,157 +301,71 @@ impl LaneLoop {
     /// Advances every live lane one cycle in lockstep; returns how many
     /// lanes stepped (0 = all lanes have exited).
     ///
-    /// Per lane the pass structure exactly mirrors [`ControlLoop::step`]:
-    /// pre-step gating read, CPU step + power evaluation (once per
-    /// group), PDN step, monitor/histogram/energy, sensor pipeline +
-    /// conditional noise draw, controller FSM, band counters, trace
-    /// sample — then gating partition / copy-on-diverge for the next
-    /// cycle.
+    /// Per group: read the pre-step gating, one CPU step and power
+    /// evaluation, then each member lane runs the scalar loop's supply,
+    /// observer, sensor/controller and band/trace stages on its own
+    /// state; finally the group is partitioned by the lanes' commanded
+    /// gating (copy-on-diverge) for the next cycle.
     pub fn step_all(&mut self) -> usize {
         self.retire_exits();
-
-        // Pass 1: one CPU step + power evaluation per group, broadcast
-        // to every member lane's scratch slot.
-        self.active.clear();
+        let mut stepped = 0;
+        // Groups forked by `partition` are appended past this range;
+        // their lanes have already stepped this cycle.
         for g_idx in 0..self.groups.len() {
-            if self.groups[g_idx].lanes.is_empty() {
+            let g = &mut self.groups[g_idx];
+            if g.lanes.is_empty() {
                 continue;
             }
-            let g = &mut self.groups[g_idx];
             let gating = g.cpu.gating();
             let act = g.cpu.step();
-            let watts = g.power.cycle_power(&act, &gating).total();
-            let amps = watts / g.vdd;
-            let pre_mask = mask_of(gating);
+            let (watts, amps) = cycle_draw(&g.power, &act, &gating);
             for &l in &g.lanes {
-                self.scratch_watts[l] = watts;
-                self.scratch_amps[l] = amps;
-                self.scratch_pre_mask[l] = pre_mask;
-            }
-            self.active.extend_from_slice(&g.lanes);
-        }
-        if self.active.is_empty() {
-            return 0;
-        }
-
-        // Pass 2: supply + ground-truth observers, lane-major.
-        for &l in &self.active {
-            let volts = self.pdn.step_lane(l, self.scratch_amps[l]);
-            self.scratch_volts[l] = volts;
-            self.monitor[l].observe(volts);
-            self.histogram[l].record(volts);
-            self.energy[l].add_cycle(self.scratch_watts[l]);
-        }
-
-        // Pass 3: sensor pipeline, conditional noise draw, controller
-        // FSM, band counters, desired-gating mask.
-        for &l in &self.active {
-            let reading = if self.has_sensor[l] {
-                let volts = self.scratch_volts[l];
-                let cap = self.ring_cap[l];
-                let seen = if cap == 0 {
-                    volts
-                } else {
-                    let head = self.ring_head[l];
-                    let pos = self.ring_off[l] + head;
-                    let seen = self.ring[pos];
-                    self.ring[pos] = volts;
-                    self.ring_head[l] = if head + 1 == cap { 0 } else { head + 1 };
-                    seen
-                };
-                // The noise draw is conditional in the scalar sensor;
-                // replicating the condition keeps RNG streams aligned.
-                let noisy = if self.sens_noise_v[l] > 0.0 {
-                    seen + self.sens_rng[l].range_f64(-self.sens_noise_v[l], self.sens_noise_v[l])
-                } else {
-                    seen
-                };
-                let reading = if noisy < self.sens_v_low[l] {
-                    SensorReading::Low
-                } else if noisy > self.sens_v_high[l] {
-                    SensorReading::High
-                } else {
-                    SensorReading::Normal
-                };
-                let action = match reading {
-                    SensorReading::Low => ControlAction::ReduceCurrent,
-                    SensorReading::High => ControlAction::IncreaseCurrent,
-                    SensorReading::Normal => ControlAction::None,
-                };
-                match action {
-                    ControlAction::ReduceCurrent => {
-                        self.reduce_cycles[l] += 1;
-                        if self.ctrl_last[l] != 2 {
-                            self.reduce_events[l] += 1;
-                        }
+                let tail = &mut self.tails[l];
+                let volts = tail.supply(amps);
+                tail.observe(volts, watts);
+                let (reading, action) = tail.sense(volts);
+                self.next_mask[l] = match action {
+                    Some(action) => {
+                        let mut wanted = GatingState::default();
+                        tail.actuate(action, &mut wanted);
+                        mask_of(wanted)
                     }
-                    ControlAction::IncreaseCurrent => {
-                        self.increase_cycles[l] += 1;
-                        if self.ctrl_last[l] != 3 {
-                            self.increase_events[l] += 1;
-                        }
-                    }
-                    ControlAction::None => {}
-                }
-                self.ctrl_last[l] = encode_last(Some(action));
-                self.scratch_mask[l] = desired_mask(&self.actuator[l], action);
-                reading
-            } else {
-                self.scratch_mask[l] = MASK_KEEP;
-                SensorReading::Normal
-            };
-            match reading {
-                SensorReading::Low => self.cycles_in_low[l] += 1,
-                SensorReading::Normal => self.cycles_in_normal[l] += 1,
-                SensorReading::High => self.cycles_in_high[l] += 1,
+                    None => MASK_KEEP,
+                };
+                tail.finish_cycle(reading, amps, volts, &gating);
+                self.budget[l] -= 1;
             }
-        }
-
-        // Pass 4: trace scatter (samples use the pre-step gating, as in
-        // the scalar loop) and budget decrement.
-        for &l in &self.active {
-            if let Some(trace) = &mut self.trace[l] {
-                let m = self.scratch_pre_mask[l];
-                trace.push(LoopSample {
-                    current: self.scratch_amps[l],
-                    voltage: self.scratch_volts[l],
-                    reducing: m & 0b000111 != 0,
-                    increasing: m & 0b111000 != 0,
-                });
-            }
-            self.budget[l] -= 1;
-        }
-
-        // Pass 5: gating partition / copy-on-diverge.
-        let stepped = self.active.len();
-        for g_idx in 0..self.groups.len() {
-            if self.groups[g_idx].lanes.is_empty() {
-                continue;
-            }
-            let g_cur = mask_of(self.groups[g_idx].cpu.gating());
-            // Fast path: all lanes want the mask the group already has.
-            let unanimous = {
-                let lanes = &self.groups[g_idx].lanes;
-                let first = self.scratch_mask[lanes[0]];
-                let first = if first == MASK_KEEP { g_cur } else { first };
-                lanes[1..]
-                    .iter()
-                    .all(|&l| {
-                        let m = self.scratch_mask[l];
-                        (if m == MASK_KEEP { g_cur } else { m }) == first
-                    })
-                    .then_some(first)
-            };
-            match unanimous {
-                Some(mask) => {
-                    if mask != g_cur {
-                        apply_mask(self.groups[g_idx].cpu.gating_mut(), mask);
-                    }
-                }
-                None => self.split_group(g_idx, g_cur),
-            }
+            stepped += g.lanes.len();
+            self.partition(g_idx);
         }
         stepped
+    }
+
+    /// Applies the lanes' commanded gating to group `g_idx`: unchanged
+    /// when they agree, otherwise a [`split_group`](Self::split_group).
+    fn partition(&mut self, g_idx: usize) {
+        let g_cur = mask_of(self.groups[g_idx].cpu.gating());
+        // Fast path: all lanes want the same mask.
+        let unanimous = {
+            let lanes = &self.groups[g_idx].lanes;
+            let first = self.next_mask[lanes[0]];
+            let first = if first == MASK_KEEP { g_cur } else { first };
+            lanes[1..]
+                .iter()
+                .all(|&l| {
+                    let m = self.next_mask[l];
+                    (if m == MASK_KEEP { g_cur } else { m }) == first
+                })
+                .then_some(first)
+        };
+        match unanimous {
+            Some(mask) => {
+                if mask != g_cur {
+                    apply_mask(self.groups[g_idx].cpu.gating_mut(), mask);
+                }
+            }
+            None => self.split_group(g_idx, g_cur),
+        }
     }
 
     /// Partitions `g_idx`'s lanes by desired gating mask (encounter
@@ -676,7 +377,7 @@ impl LaneLoop {
         let lanes = std::mem::take(&mut self.groups[g_idx].lanes);
         let mut parts: Vec<(u8, Vec<usize>)> = Vec::new();
         for &l in &lanes {
-            let m = self.scratch_mask[l];
+            let m = self.next_mask[l];
             let m = if m == MASK_KEEP { g_cur } else { m };
             match parts.iter_mut().find(|(mask, _)| *mask == m) {
                 Some((_, members)) => members.push(l),
@@ -695,7 +396,6 @@ impl LaneLoop {
             // apply unconditionally — actuation is absolute.
             apply_mask(cpu.gating_mut(), mask);
             let power = self.groups[g_idx].power.clone();
-            let vdd = self.groups[g_idx].vdd;
             let new_idx = self.groups.len();
             for &l in &members {
                 self.lane_group[l] = new_idx;
@@ -703,7 +403,6 @@ impl LaneLoop {
             self.groups.push(LaneGroup {
                 cpu,
                 power,
-                vdd,
                 lanes: members,
             });
         }

@@ -57,7 +57,7 @@
 //!     .scope(ActuationScope::FuDl1)
 //!     .sensor(SensorConfig { delay_cycles: 2, noise_mv: 0.0, seed: 1 })
 //!     .build()?;
-//! sim.run(10_000);
+//! sim.step_n(10_000);
 //! assert_eq!(sim.report().emergencies.events(), 0);
 //! # Ok(())
 //! # }

@@ -33,7 +33,7 @@
 //! [`ControlLoopBuilder::tracer`].
 
 use crate::actuator::{ActuationScope, AsymmetricActuator};
-use crate::controller::ThresholdController;
+use crate::controller::{ControlAction, ThresholdController};
 use crate::sensor::{SensorConfig, SensorReading, ThresholdSensor};
 use crate::thresholds::{ControlError, Thresholds};
 use voltctl_cpu::{Cpu, CpuConfig, CycleActivity, GatingState};
@@ -283,25 +283,23 @@ impl<R: Recorder, T: Tracer> ControlLoopBuilder<R, T> {
         Ok(ControlLoop {
             cpu,
             power,
-            pdn_state,
-            v_nominal: pdn.v_nominal(),
-            sensor,
-            controller: ThresholdController::new(),
-            actuator: self.actuator,
-            monitor,
-            histogram: VoltageHistogram::for_nominal_1v(),
-            energy,
-            trace: if self.record_trace {
-                Some(Vec::new())
-            } else {
-                None
+            tail: LoopTail {
+                pdn_state,
+                v_nominal: pdn.v_nominal(),
+                sensor,
+                controller: ThresholdController::new(),
+                actuator: self.actuator,
+                monitor,
+                histogram: VoltageHistogram::for_nominal_1v(),
+                energy,
+                trace: self.record_trace.then(Vec::new),
+                cycles_in_low: 0,
+                cycles_in_normal: 0,
+                cycles_in_high: 0,
             },
             recorder,
             metric_ids,
             tracer: self.tracer,
-            cycles_in_low: 0,
-            cycles_in_normal: 0,
-            cycles_in_high: 0,
         })
     }
 
@@ -344,6 +342,25 @@ impl<R: Recorder, T: Tracer> ControlLoopBuilder<R, T> {
 pub struct ControlLoop<R: Recorder = NullRecorder, T: Tracer = NullTracer> {
     cpu: Cpu,
     power: PowerModel,
+    tail: LoopTail,
+    recorder: R,
+    metric_ids: LoopMetricIds,
+    tracer: T,
+}
+
+/// Everything a loop owns downstream of its CPU and power model: the
+/// supply network, the sensor/controller/actuator chain, the
+/// ground-truth observers, the sample trace, and the band counters.
+///
+/// Its methods are the per-cycle stages [`ControlLoop::step`] runs after
+/// `cpu.step()` and [`cycle_draw`], in order: [`supply`](Self::supply),
+/// [`observe`](Self::observe), [`sense`](Self::sense) (+
+/// [`actuate`](Self::actuate)), [`finish_cycle`](Self::finish_cycle).
+/// The lane path ([`crate::lane`]) keeps one tail per lane and calls the
+/// same stages, so a lane performs exactly the scalar loop's f64
+/// operations by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct LoopTail {
     pdn_state: PdnState,
     v_nominal: f64,
     sensor: Option<ThresholdSensor>,
@@ -353,12 +370,111 @@ pub struct ControlLoop<R: Recorder = NullRecorder, T: Tracer = NullTracer> {
     histogram: VoltageHistogram,
     energy: EnergyAccumulator,
     trace: Option<Vec<LoopSample>>,
-    recorder: R,
-    metric_ids: LoopMetricIds,
-    tracer: T,
     cycles_in_low: u64,
     cycles_in_normal: u64,
     cycles_in_high: u64,
+}
+
+/// The power stage: this cycle's draw in watts and amps.
+#[inline]
+pub(crate) fn cycle_draw(
+    power: &PowerModel,
+    act: &CycleActivity,
+    gating: &GatingState,
+) -> (f64, f64) {
+    let watts = power.cycle_power(act, gating).total();
+    (watts, watts / power.params().vdd)
+}
+
+impl LoopTail {
+    /// Advances the supply network one cycle under `amps`; returns the
+    /// die voltage.
+    #[inline]
+    pub(crate) fn supply(&mut self, amps: f64) -> f64 {
+        self.pdn_state.step(amps)
+    }
+
+    /// Feeds the ground-truth observers: emergency monitor, voltage
+    /// histogram, energy. Returns the supply band.
+    #[inline]
+    pub(crate) fn observe(&mut self, volts: f64, watts: f64) -> VoltageBand {
+        let band = self.monitor.observe(volts);
+        self.histogram.record(volts);
+        self.energy.add_cycle(watts);
+        band
+    }
+
+    /// Runs the sensor and controller on this cycle's voltage. Returns
+    /// the sensed band and, for controlled loops, the commanded action.
+    #[inline]
+    pub(crate) fn sense(&mut self, volts: f64) -> (SensorReading, Option<ControlAction>) {
+        match &mut self.sensor {
+            Some(sensor) => {
+                let reading = sensor.observe(volts);
+                (reading, Some(self.controller.decide(reading)))
+            }
+            None => (SensorReading::Normal, None),
+        }
+    }
+
+    /// Drives `gating` to what the actuator commands for `action`.
+    /// Actuation is absolute (it releases everything first), so the
+    /// result does not depend on the prior gating.
+    #[inline]
+    pub(crate) fn actuate(&self, action: ControlAction, gating: &mut GatingState) {
+        self.actuator.apply(action, gating);
+    }
+
+    /// Closes the cycle: band counters and the trace sample, tagged with
+    /// the gating the cycle ran under.
+    #[inline]
+    pub(crate) fn finish_cycle(
+        &mut self,
+        reading: SensorReading,
+        amps: f64,
+        volts: f64,
+        gating: &GatingState,
+    ) -> LoopSample {
+        match reading {
+            SensorReading::Low => self.cycles_in_low += 1,
+            SensorReading::Normal => self.cycles_in_normal += 1,
+            SensorReading::High => self.cycles_in_high += 1,
+        }
+        let sample = LoopSample {
+            current: amps,
+            voltage: volts,
+            reducing: gating.gate_fu || gating.gate_dl1 || gating.gate_il1,
+            increasing: gating.phantom_fu || gating.phantom_dl1 || gating.phantom_il1,
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.push(sample);
+        }
+        sample
+    }
+
+    /// The run report for this tail driven by `cpu`.
+    pub(crate) fn report(&self, cpu: &Cpu) -> LoopReport {
+        let stats = cpu.stats();
+        LoopReport {
+            cycles: stats.cycles,
+            committed: stats.committed,
+            ipc: stats.ipc(),
+            emergencies: self.monitor.report(),
+            energy_joules: self.energy.joules(),
+            avg_power: self.energy.average_power(),
+            reduce_cycles: self.controller.reduce_cycles(),
+            increase_cycles: self.controller.increase_cycles(),
+            interventions: self.controller.reduce_events() + self.controller.increase_events(),
+            cycles_in_low: self.cycles_in_low,
+            cycles_in_normal: self.cycles_in_normal,
+            cycles_in_high: self.cycles_in_high,
+        }
+    }
+
+    /// Takes the recorded per-cycle trace (empty unless recording).
+    pub(crate) fn take_trace(&mut self) -> Vec<LoopSample> {
+        self.trace.take().unwrap_or_default()
+    }
 }
 
 /// Run-level results.
@@ -430,77 +546,26 @@ pub(crate) fn power_fingerprint(power: &PowerModel) -> u64 {
     voltctl_snap::fnv1a(format!("{power:?}").as_bytes())
 }
 
-/// A [`ControlLoop`]'s complete evolving state, decomposed so the lane
-/// path ([`crate::lane`]) can transpose it into per-field arrays and —
-/// at checkpoint/scatter boundaries — reassemble a scalar loop that is
-/// byte-identical to one that had been stepped scalar all along.
-#[derive(Debug)]
-pub(crate) struct LaneParts {
-    pub(crate) cpu: Cpu,
-    pub(crate) power: PowerModel,
-    pub(crate) pdn_state: PdnState,
-    pub(crate) v_nominal: f64,
-    pub(crate) sensor: Option<ThresholdSensor>,
-    pub(crate) controller: ThresholdController,
-    pub(crate) actuator: AsymmetricActuator,
-    pub(crate) monitor: VoltageMonitor,
-    pub(crate) histogram: VoltageHistogram,
-    pub(crate) energy: EnergyAccumulator,
-    pub(crate) trace: Option<Vec<LoopSample>>,
-    pub(crate) cycles_in_low: u64,
-    pub(crate) cycles_in_normal: u64,
-    pub(crate) cycles_in_high: u64,
-}
-
 impl ControlLoop {
-    /// Decomposes an (unobserved) loop into lane-transposable parts.
-    ///
-    /// Only the default `NullRecorder`/`NullTracer` instantiation can
-    /// enter the lane path: per-cycle observers would have to fire in
-    /// scalar step order, which is exactly what the transposed passes
-    /// give up.
-    pub(crate) fn into_lane_parts(self) -> LaneParts {
-        LaneParts {
-            cpu: self.cpu,
-            power: self.power,
-            pdn_state: self.pdn_state,
-            v_nominal: self.v_nominal,
-            sensor: self.sensor,
-            controller: self.controller,
-            actuator: self.actuator,
-            monitor: self.monitor,
-            histogram: self.histogram,
-            energy: self.energy,
-            trace: self.trace,
-            cycles_in_low: self.cycles_in_low,
-            cycles_in_normal: self.cycles_in_normal,
-            cycles_in_high: self.cycles_in_high,
-        }
+    /// Splits an (unobserved) loop into its CPU, power model, and tail
+    /// for the lane path. Only the default `NullRecorder`/`NullTracer`
+    /// instantiation can enter the lane path: per-cycle observers fire
+    /// from the scalar step.
+    pub(crate) fn into_tail(self) -> (Cpu, PowerModel, LoopTail) {
+        (self.cpu, self.power, self.tail)
     }
 
-    /// Reassembles a scalar loop from lane parts. Inverse of
-    /// [`into_lane_parts`](Self::into_lane_parts): a loop rebuilt from
-    /// unmodified parts is byte-identical (its [`save`](Self::save)
-    /// bytes match) to the loop that was decomposed.
-    pub(crate) fn from_lane_parts(parts: LaneParts) -> ControlLoop {
+    /// Reassembles a loop from the parts [`into_tail`](Self::into_tail)
+    /// returned; a loop rebuilt from unmodified parts has the same
+    /// [`save`](Self::save) bytes as the loop that was split.
+    pub(crate) fn from_tail(cpu: Cpu, power: PowerModel, tail: LoopTail) -> ControlLoop {
         ControlLoop {
-            cpu: parts.cpu,
-            power: parts.power,
-            pdn_state: parts.pdn_state,
-            v_nominal: parts.v_nominal,
-            sensor: parts.sensor,
-            controller: parts.controller,
-            actuator: parts.actuator,
-            monitor: parts.monitor,
-            histogram: parts.histogram,
-            energy: parts.energy,
-            trace: parts.trace,
+            cpu,
+            power,
+            tail,
             recorder: NullRecorder,
             metric_ids: LoopMetricIds::default(),
             tracer: NullTracer,
-            cycles_in_low: parts.cycles_in_low,
-            cycles_in_normal: parts.cycles_in_normal,
-            cycles_in_high: parts.cycles_in_high,
         }
     }
 }
@@ -584,24 +649,19 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         sw.stop_id(&mut self.recorder, self.metric_ids.cpu_ns);
 
         let sw = Stopwatch::started_if(time_substeps);
-        let watts = self.power.cycle_power(&act, &gating).total();
-        let amps = watts / self.power.params().vdd;
+        let (watts, amps) = cycle_draw(&self.power, &act, &gating);
         sw.stop_id(&mut self.recorder, self.metric_ids.power_ns);
 
         let sw = Stopwatch::started_if(time_substeps);
-        let volts = self.pdn_state.step(amps);
+        let volts = self.tail.supply(amps);
         sw.stop_id(&mut self.recorder, self.metric_ids.pdn_ns);
 
-        let band = self.monitor.observe(volts);
-        self.histogram.record(volts);
-        self.energy.add_cycle(watts);
+        let band = self.tail.observe(volts, watts);
 
         let sw = Stopwatch::started_if(time_substeps);
-        let mut reading = SensorReading::Normal;
-        if let Some(sensor) = &mut self.sensor {
-            reading = sensor.observe(volts);
-            let action = self.controller.decide(reading);
-            self.actuator.apply(action, self.cpu.gating_mut());
+        let (reading, action) = self.tail.sense(volts);
+        if let Some(action) = action {
+            self.tail.actuate(action, self.cpu.gating_mut());
         }
         sw.stop_id(&mut self.recorder, self.metric_ids.control_ns);
 
@@ -615,28 +675,11 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
                 events: event_bits(&act, &gating),
             });
         }
-
-        match reading {
-            SensorReading::Low => self.cycles_in_low += 1,
-            SensorReading::Normal => self.cycles_in_normal += 1,
-            SensorReading::High => self.cycles_in_high += 1,
-        }
-
         if R::ENABLED {
             self.recorder.value_id(self.metric_ids.voltage, volts);
             self.recorder.value_id(self.metric_ids.current, amps);
         }
-
-        let sample = LoopSample {
-            current: amps,
-            voltage: volts,
-            reducing: gating.gate_fu || gating.gate_dl1 || gating.gate_il1,
-            increasing: gating.phantom_fu || gating.phantom_dl1 || gating.phantom_il1,
-        };
-        if let Some(trace) = &mut self.trace {
-            trace.push(sample);
-        }
-        sample
+        self.tail.finish_cycle(reading, amps, volts, &gating)
     }
 
     /// Advances up to `budget` cycles, stopping early when the program
@@ -649,7 +692,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// reserved up front (capped at 2^22 samples per call for
     /// pathological budgets) so the hot loop never reallocates mid-run.
     pub fn step_n(&mut self, budget: u64) -> u64 {
-        if let Some(trace) = &mut self.trace {
+        if let Some(trace) = &mut self.tail.trace {
             trace.reserve(budget.min(1 << 22) as usize);
         }
         let mut stepped = 0;
@@ -658,15 +701,6 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
             stepped += 1;
         }
         stepped
-    }
-
-    /// Runs `cycles` cycles (stops early if the program finishes).
-    ///
-    /// Compatibility alias for [`step_n`](Self::step_n), kept so existing
-    /// scenario code keeps compiling; it discards the stepped-cycle count.
-    /// New code that runs in resumable slices should call `step_n`.
-    pub fn run(&mut self, cycles: u64) {
-        self.step_n(cycles);
     }
 
     /// Whether the program has finished and drained.
@@ -681,7 +715,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
 
     /// The voltage histogram accumulated so far (Figure 10).
     pub fn histogram(&self) -> &VoltageHistogram {
-        &self.histogram
+        &self.tail.histogram
     }
 
     /// The attached telemetry recorder.
@@ -723,26 +757,12 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// Takes the recorded per-cycle trace (empty unless
     /// [`ControlLoopBuilder::record_trace`] was enabled).
     pub fn take_trace(&mut self) -> Vec<LoopSample> {
-        self.trace.take().unwrap_or_default()
+        self.tail.take_trace()
     }
 
     /// Produces the run report.
     pub fn report(&self) -> LoopReport {
-        let stats = self.cpu.stats();
-        LoopReport {
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc(),
-            emergencies: self.monitor.report(),
-            energy_joules: self.energy.joules(),
-            avg_power: self.energy.average_power(),
-            reduce_cycles: self.controller.reduce_cycles(),
-            increase_cycles: self.controller.increase_cycles(),
-            interventions: self.controller.reduce_events() + self.controller.increase_events(),
-            cycles_in_low: self.cycles_in_low,
-            cycles_in_normal: self.cycles_in_normal,
-            cycles_in_high: self.cycles_in_high,
-        }
+        self.tail.report(&self.cpu)
     }
 
     /// Flushes run-level aggregates into the recorder: controller-state
@@ -768,9 +788,11 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         rec.value("loop.gating_duty", report.gating_duty());
         rec.value("loop.ipc", report.ipc);
         report.emergencies.record_telemetry(rec);
-        self.histogram.record_telemetry(rec, "loop.voltage_hist");
+        self.tail
+            .histogram
+            .record_telemetry(rec, "loop.voltage_hist");
         self.cpu.stats().record_telemetry(rec);
-        self.energy.record_telemetry(rec);
+        self.tail.energy.record_telemetry(rec);
     }
 
     /// Serializes the loop's complete simulation state into a versioned
@@ -793,11 +815,11 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         let mut snap = SnapshotWriter::new(SnapshotKind::Loop);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        w.put_f64(self.v_nominal);
+        w.put_f64(self.tail.v_nominal);
         w.put_u64(power_fingerprint(&self.power));
-        w.put_u64(self.cycles_in_low);
-        w.put_u64(self.cycles_in_normal);
-        w.put_u64(self.cycles_in_high);
+        w.put_u64(self.tail.cycles_in_low);
+        w.put_u64(self.tail.cycles_in_normal);
+        w.put_u64(self.tail.cycles_in_high);
         snap.section(section::META, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
@@ -805,29 +827,29 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         snap.section(section::CPU, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.pdn_state.pack(&mut w);
+        self.tail.pdn_state.pack(&mut w);
         snap.section(section::PDN, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.sensor.pack(&mut w);
+        self.tail.sensor.pack(&mut w);
         snap.section(section::SENSOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.controller.pack(&mut w);
+        self.tail.controller.pack(&mut w);
         snap.section(section::CONTROLLER, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.actuator.pack(&mut w);
+        self.tail.actuator.pack(&mut w);
         snap.section(section::ACTUATOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.monitor.pack(&mut w);
-        self.histogram.pack(&mut w);
-        self.energy.pack(&mut w);
+        self.tail.monitor.pack(&mut w);
+        self.tail.histogram.pack(&mut w);
+        self.tail.energy.pack(&mut w);
         snap.section(section::MONITOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.trace.pack(&mut w);
+        self.tail.trace.pack(&mut w);
         snap.section(section::TRACE, LOOP_SECTION_VERSION, w);
 
         snap.finish()
@@ -886,7 +908,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         let mut r = section_reader(section::SENSOR, "sensor state")?;
         let sensor: Option<ThresholdSensor> = Unpack::unpack(&mut r).map_err(snap_err)?;
         r.expect_end("sensor state").map_err(snap_err)?;
-        if sensor.is_some() != self.sensor.is_some() {
+        if sensor.is_some() != self.tail.sensor.is_some() {
             return Err(ControlError::Infeasible(format!(
                 "snapshot is of {} run but the builder configured {}",
                 if sensor.is_some() {
@@ -894,7 +916,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
                 } else {
                     "an uncontrolled"
                 },
-                if self.sensor.is_some() {
+                if self.tail.sensor.is_some() {
                     "control thresholds"
                 } else {
                     "no control"
@@ -921,18 +943,20 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         r.expect_end("sample trace").map_err(snap_err)?;
 
         self.cpu = cpu;
-        self.pdn_state = pdn_state;
-        self.v_nominal = v_nominal;
-        self.sensor = sensor;
-        self.controller = controller;
-        self.actuator = actuator;
-        self.monitor = monitor;
-        self.histogram = histogram;
-        self.energy = energy;
-        self.trace = trace;
-        self.cycles_in_low = cycles_in_low;
-        self.cycles_in_normal = cycles_in_normal;
-        self.cycles_in_high = cycles_in_high;
+        self.tail = LoopTail {
+            pdn_state,
+            v_nominal,
+            sensor,
+            controller,
+            actuator,
+            monitor,
+            histogram,
+            energy,
+            trace,
+            cycles_in_low,
+            cycles_in_normal,
+            cycles_in_high,
+        };
         Ok(())
     }
 
@@ -944,7 +968,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
 
     /// The nominal supply voltage.
     pub fn v_nominal(&self) -> f64 {
-        self.v_nominal
+        self.tail.v_nominal
     }
 }
 
@@ -979,7 +1003,7 @@ mod tests {
             .pdn(pdn)
             .build()
             .unwrap();
-        sim.run(5_000);
+        sim.step_n(5_000);
         let r = sim.report();
         assert_eq!(r.cycles, 5_000);
         assert!(r.committed > 0);
@@ -1045,7 +1069,7 @@ mod tests {
             .scope(ActuationScope::FuDl1Il1)
             .build()
             .unwrap();
-        controlled.run(60_000);
+        controlled.step_n(60_000);
         let rc = controlled.report();
 
         let mut baseline = ControlLoop::builder(program)
@@ -1053,7 +1077,7 @@ mod tests {
             .pdn(pdn)
             .build()
             .unwrap();
-        baseline.run(60_000);
+        baseline.step_n(60_000);
         let rb = baseline.report();
 
         assert!(rc.interventions > 0, "controller must engage");
@@ -1090,7 +1114,7 @@ mod tests {
             .pdn(pdn.clone())
             .build()
             .unwrap();
-        base.run(1_000_000);
+        base.step_n(1_000_000);
         assert!(base.done());
 
         // Aggressive thresholds force frequent actuation.
@@ -1104,7 +1128,7 @@ mod tests {
             .scope(ActuationScope::FuDl1Il1)
             .build()
             .unwrap();
-        controlled.run(5_000_000);
+        controlled.step_n(5_000_000);
         assert!(controlled.done());
         assert!(controlled.report().interventions > 0);
         assert_eq!(base.arch_digest(), controlled.arch_digest());
@@ -1123,7 +1147,7 @@ mod tests {
             .record_trace(true)
             .build()
             .unwrap();
-        sim.run(100);
+        sim.step_n(100);
         let trace = sim.take_trace();
         assert_eq!(trace.len(), 100);
         assert!(trace.iter().all(|s| s.voltage > 0.5 && s.current > 0.0));
@@ -1138,10 +1162,10 @@ mod tests {
             .record_trace(true)
             .build()
             .unwrap();
-        sim.run(750);
-        // The reserve in run() must cover the whole budget: pushing the
+        sim.step_n(750);
+        // The reserve in step_n() must cover the whole budget: pushing the
         // samples cannot have grown the buffer beyond one allocation.
-        let trace = sim.trace.as_ref().expect("trace recording enabled");
+        let trace = sim.tail.trace.as_ref().expect("trace recording enabled");
         assert_eq!(trace.len(), 750);
         assert!(
             trace.capacity() >= 750,
@@ -1201,8 +1225,8 @@ mod tests {
             .tracer(&mut flight)
             .build()
             .unwrap();
-        plain.run(2_000);
-        traced.run(2_000);
+        plain.step_n(2_000);
+        traced.step_n(2_000);
         assert_eq!(plain.report(), traced.report());
         assert_eq!(plain.arch_digest(), traced.arch_digest());
         drop(traced);
@@ -1233,7 +1257,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let sensor = sim.sensor.as_ref().unwrap();
+        let sensor = sim.tail.sensor.as_ref().unwrap();
         assert!((sensor.v_low() - 0.97).abs() < 1e-12);
         assert!((sensor.v_high() - 1.03).abs() < 1e-12);
     }
@@ -1247,7 +1271,7 @@ mod tests {
             .recorder(MemoryRecorder::new())
             .build()
             .unwrap();
-        sim.run(500);
+        sim.step_n(500);
         sim.finish_telemetry();
         let snap = sim.recorder().snapshot();
         assert_eq!(snap.counter("loop.cycles"), Some(500));
@@ -1473,7 +1497,7 @@ mod tests {
     }
 
     #[test]
-    fn step_n_reports_cycles_and_run_delegates() {
+    fn step_n_reports_cycles_in_any_slicing() {
         let (power, pdn) = harness(2.0);
         let program = oscillator_program();
         let mut a = ControlLoop::builder(program.clone())
@@ -1493,15 +1517,16 @@ mod tests {
         assert_eq!(total, a.report().cycles);
         assert_eq!(a.step_n(10), 0, "a finished loop steps zero cycles");
 
-        // The `run` shim is exactly step_n with the count discarded.
+        // One unbounded slice lands on the same state as many small ones.
         let mut b = ControlLoop::builder(program)
             .power(power)
             .pdn(pdn)
             .build()
             .unwrap();
-        b.run(u64::MAX);
+        assert_eq!(b.step_n(u64::MAX), total);
         assert!(b.done());
         assert_eq!(a.report(), b.report());
+        assert_eq!(a.save(), b.save());
     }
 
     #[test]
@@ -1518,8 +1543,8 @@ mod tests {
             .recorder(MemoryRecorder::new())
             .build()
             .unwrap();
-        plain.run(2_000);
-        recorded.run(2_000);
+        plain.step_n(2_000);
+        recorded.step_n(2_000);
         // Telemetry must be a pure observer: identical simulation results.
         assert_eq!(plain.report(), recorded.report());
         assert_eq!(plain.arch_digest(), recorded.arch_digest());

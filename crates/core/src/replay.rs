@@ -319,7 +319,7 @@ mod tests {
             .tracer(&mut flight)
             .build()
             .unwrap();
-        sim.run(30_000);
+        sim.step_n(30_000);
         drop(sim);
         let cell = flight.to_cell("osc");
         assert!(

@@ -3,8 +3,8 @@
 //! hard contract `crates/core/src/lane.rs` promises.
 //!
 //! Random grids of per-lane configurations (controlled/uncontrolled,
-//! tight/loose thresholds, sensor delay and noise, mixed programs,
-//! uneven budgets) are run at lane widths 1, 4, 8, and 9 — one past the
+//! tight/loose thresholds, sensor delay and noise, symmetric and
+//! asymmetric actuation scopes, mixed programs, uneven budgets) are run at lane widths 1, 4, 8, and 9 — one past the
 //! widest regular group, so a ragged tail lane is always exercised —
 //! and every lane must agree with its scalar twin on the run report,
 //! the architectural digest, and every per-cycle trace sample to the
@@ -13,6 +13,7 @@
 //! bit-for-bit, so `--shards`/`--resume` cannot tell the paths apart.
 
 use voltctl_check::{check, ensure, ensure_eq, usize_in, Config};
+use voltctl_core::actuator::{ActuationScope, AsymmetricActuator};
 use voltctl_core::calibrate::calibrated_pdn;
 use voltctl_core::loopsim::LoopSample;
 use voltctl_core::prelude::*;
@@ -60,6 +61,7 @@ struct LaneConfig {
     delay: u32,
     noise_mv: f64,
     budget: u64,
+    actuator: AsymmetricActuator,
 }
 
 impl LaneConfig {
@@ -90,6 +92,7 @@ impl LaneConfig {
             delay: (rng.next_u64() % 4) as u32,
             noise_mv: if !tight && rng.next_bool() { 10.0 } else { 0.0 },
             budget: 300 + rng.next_u64() % 900,
+            actuator: draw_actuator(rng),
         }
     }
 
@@ -103,6 +106,7 @@ impl LaneConfig {
             .power(power.clone())
             .pdn(pdn.clone())
             .record_trace(true)
+            .actuator(self.actuator)
             .sensor(SensorConfig {
                 delay_cycles: self.delay,
                 noise_mv: self.noise_mv,
@@ -124,6 +128,7 @@ impl LaneConfig {
             .power(power.clone())
             .pdn(pdn.clone())
             .record_trace(true)
+            .actuator(self.actuator)
             .sensor(SensorConfig {
                 delay_cycles: self.delay,
                 noise_mv: self.noise_mv,
@@ -133,6 +138,24 @@ impl LaneConfig {
             b = b.thresholds(t);
         }
         b.restore(bytes).unwrap()
+    }
+}
+
+/// One of the four symmetric scopes, or (one draw in five) an
+/// asymmetric actuator whose reduce and increase scopes differ, so the
+/// lanes' gating masks cover every scope on both responses.
+fn draw_actuator(rng: &mut Rng) -> AsymmetricActuator {
+    let scopes = ActuationScope::all();
+    match rng.next_u64() % 5 {
+        k @ 0..=3 => AsymmetricActuator::symmetric(scopes[k as usize]),
+        _ => {
+            let reduce = (rng.next_u64() % 4) as usize;
+            let increase = (reduce + 1 + (rng.next_u64() % 3) as usize) % 4;
+            AsymmetricActuator {
+                reduce: scopes[reduce],
+                increase: scopes[increase],
+            }
+        }
     }
 }
 

@@ -197,14 +197,14 @@ impl CellResult {
 
 /// One lane a batchable scenario contributes to the engine's lane
 /// executor: a fully built closed loop plus the cycle budget it should
-/// run for (warm-up included, exactly what `sim.run(budget)` would get
+/// run for (warm-up included, exactly what `sim.step_n(budget)` would get
 /// on the scalar path).
 #[derive(Debug)]
 pub struct BatchLane {
     /// The closed loop to step.
     pub sim: ControlLoop,
     /// Total cycles to run (the lane exits earlier if its program
-    /// terminates, matching `ControlLoop::run`).
+    /// terminates, matching `ControlLoop::step_n`).
     pub budget: u64,
 }
 
@@ -492,8 +492,8 @@ fn run_cells_batched<P: Profiler>(
             let chunk_label = format!("chunk{c}");
 
             // Gather: build every batchable cell's lanes, dedupe exact
-            // replicas, and transpose the survivors into one SoA lane
-            // loop. `origin[i]` maps logical lane `i` to its simulated
+            // replicas, and gather the survivors into one lane loop.
+            // `origin[i]` maps logical lane `i` to its simulated
             // representative.
             let span = Span::start(profiler);
             let mut sims = Vec::new();

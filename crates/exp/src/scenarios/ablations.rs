@@ -315,7 +315,7 @@ fn run_asymmetric(
         .pdn(pdn.clone())
         .build()
         .expect("baseline builds");
-    baseline.run(warmup + cycles);
+    baseline.step_n(warmup + cycles);
 
     let mut controlled = ControlLoop::builder(stress.program.clone())
         .power(power)
@@ -329,7 +329,7 @@ fn run_asymmetric(
         })
         .build()
         .expect("controlled builds");
-    controlled.run(warmup + cycles);
+    controlled.step_n(warmup + cycles);
     (baseline.report(), controlled.report())
 }
 

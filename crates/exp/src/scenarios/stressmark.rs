@@ -65,7 +65,7 @@ impl Fig08Stressmark {
             builder
         };
         let mut sim = builder.build().expect("loop builds");
-        sim.run(cycles);
+        sim.step_n(cycles);
         out
     }
 }
@@ -290,7 +290,7 @@ impl Scenario for Fig11ControllerTrace {
             .tracer(&mut out.tracer)
             .build()
             .expect("loop builds");
-        sim.run(ctx.warmup(stress.warmup_cycles) + ctx.budget(6_000));
+        sim.step_n(ctx.warmup(stress.warmup_cycles) + ctx.budget(6_000));
         sim.finish_telemetry();
         let trace = sim.take_trace();
         let report = sim.report();

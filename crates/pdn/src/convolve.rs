@@ -246,107 +246,6 @@ impl Convolver {
     }
 }
 
-/// W streaming convolvers sharing one kernel, advanced in lockstep.
-///
-/// The history ring is lane-interleaved (`history[slot * width + lane]`)
-/// with the same double-write trick as [`Convolver`], so one cycle of all
-/// W lanes is a tap-major scan whose inner loop runs `width` independent
-/// multiply-adds over contiguous memory — the layout the compiler
-/// autovectorizes. All lanes share the ring head because they step
-/// together.
-///
-/// Each lane computes the same dot product a standalone [`Convolver`]
-/// would, but the accumulation order differs (tap-serial here vs. the
-/// scalar path's four-way unroll), so lane outputs agree to rounding —
-/// not bitwise. This path backs batch *replay* sweeps (one trace, many
-/// kernels); the closed control loop batches over [`PdnLanes`], which is
-/// bitwise.
-///
-/// [`PdnLanes`]: crate::state_space::PdnLanes
-#[derive(Debug, Clone)]
-pub struct LaneConvolver {
-    /// Kernel reversed, as in [`Convolver`].
-    rev_kernel: Vec<f64>,
-    /// Lane-interleaved double-write ring: `2 * cap * width` samples.
-    history: Vec<f64>,
-    cap: usize,
-    width: usize,
-    head: usize,
-    v_nominal: f64,
-}
-
-impl LaneConvolver {
-    /// Creates a `width`-lane convolver from a kernel and nominal voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel is empty or `width` is zero.
-    pub fn new(kernel: Vec<f64>, v_nominal: f64, width: usize) -> Self {
-        assert!(!kernel.is_empty(), "convolution kernel must be non-empty");
-        assert!(width > 0, "lane width must be positive");
-        let cap = kernel.len().next_power_of_two();
-        let mut rev_kernel = kernel;
-        rev_kernel.reverse();
-        LaneConvolver {
-            rev_kernel,
-            history: vec![0.0; 2 * cap * width],
-            cap,
-            width,
-            head: cap - 1,
-            v_nominal,
-        }
-    }
-
-    /// Number of taps in the shared kernel.
-    pub fn taps(&self) -> usize {
-        self.rev_kernel.len()
-    }
-
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Pushes one cycle of per-lane currents (amps) and writes the
-    /// per-lane voltages into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `i_loads` and `out` both hold exactly `width`
-    /// samples.
-    pub fn step(&mut self, i_loads: &[f64], out: &mut [f64]) {
-        let w = self.width;
-        assert_eq!(i_loads.len(), w, "one current per lane");
-        assert_eq!(out.len(), w, "one output slot per lane");
-        self.head = (self.head + 1) & (self.cap - 1);
-        let row = self.head * w;
-        let wrap = (self.head + self.cap) * w;
-        self.history[row..row + w].copy_from_slice(i_loads);
-        self.history[wrap..wrap + w].copy_from_slice(i_loads);
-
-        out.fill(0.0);
-        let k = self.rev_kernel.len();
-        // Oldest-first window of K rows ending at the double-write slot.
-        let end_row = self.head + self.cap + 1;
-        let window = &self.history[(end_row - k) * w..end_row * w];
-        for (j, lanes) in window.chunks_exact(w).enumerate() {
-            let h = self.rev_kernel[j];
-            for (o, &i) in out.iter_mut().zip(lanes) {
-                *o += h * i;
-            }
-        }
-        for o in out.iter_mut() {
-            *o += self.v_nominal;
-        }
-    }
-
-    /// Clears every lane's history.
-    pub fn reset(&mut self) {
-        self.history.fill(0.0);
-        self.head = self.cap - 1;
-    }
-}
-
 /// Chunk-unrolled dot product: four independent accumulators hide the
 /// floating-point add latency; the remainder folds in serially.
 #[inline]
@@ -538,52 +437,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_kernel_panics() {
         let _ = Convolver::new(Vec::new(), 1.0);
-    }
-
-    #[test]
-    fn lane_convolver_matches_independent_scalars() {
-        let m = model();
-        let kernel = kernel_for(&m, 1e-8);
-        for width in [1usize, 3, 4, 8] {
-            let mut lanes = LaneConvolver::new(kernel.clone(), m.v_nominal(), width);
-            assert_eq!(lanes.width(), width);
-            assert_eq!(lanes.taps(), kernel.len());
-            let mut scalars: Vec<Convolver> = (0..width)
-                .map(|_| Convolver::new(kernel.clone(), m.v_nominal()))
-                .collect();
-            let mut i_loads = vec![0.0; width];
-            let mut out = vec![0.0; width];
-            for cycle in 0..700u64 {
-                for (l, slot) in i_loads.iter_mut().enumerate() {
-                    *slot = ((cycle * 13 + l as u64 * 7) % 37) as f64;
-                }
-                lanes.step(&i_loads, &mut out);
-                for (l, conv) in scalars.iter_mut().enumerate() {
-                    let v = conv.step(i_loads[l]);
-                    assert!(
-                        (out[l] - v).abs() <= 1e-12 * v.abs().max(1.0),
-                        "lane {l} cycle {cycle}: {} vs {v}",
-                        out[l]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_convolver_reset_clears_all_lanes() {
-        let m = model();
-        let kernel = kernel_for(&m, 1e-6);
-        let mut lanes = LaneConvolver::new(kernel, m.v_nominal(), 4);
-        let mut out = vec![0.0; 4];
-        for _ in 0..50 {
-            lanes.step(&[40.0, 30.0, 20.0, 10.0], &mut out);
-        }
-        lanes.reset();
-        lanes.step(&[0.0; 4], &mut out);
-        for &v in &out {
-            assert!((v - m.v_nominal()).abs() < 1e-15);
-        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .power(power.clone())
         .pdn(pdn.clone())
         .build()?;
-    baseline.run(workload.warmup_cycles + 100_000);
+    baseline.step_n(workload.warmup_cycles + 100_000);
     let base = baseline.report();
 
     let mut controlled = ControlLoop::builder(workload.program.clone())
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 42,
         })
         .build()?;
-    controlled.run(workload.warmup_cycles + 100_000);
+    controlled.step_n(workload.warmup_cycles + 100_000);
     let ctrl = controlled.report();
 
     println!(

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .power(power.clone())
         .pdn(pdn.clone())
         .build()?;
-    baseline.run(cycles);
+    baseline.step_n(cycles);
     let base = baseline.report();
     println!(
         "uncontrolled: IPC {:.2}, min voltage {:.4} V, emergencies {} cycles ({} events)",
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     seed: 1,
                 })
                 .build()?;
-            controlled.run(cycles);
+            controlled.step_n(cycles);
             let ctrl = controlled.report();
             println!(
                 "controlled:   IPC {:.2}, min voltage {:.4} V, emergencies {} cycles, {} interventions",

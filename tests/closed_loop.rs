@@ -40,7 +40,7 @@ fn controller_eliminates_stressmark_emergencies_at_200_percent() {
         .pdn(pdn.clone())
         .build()
         .unwrap();
-    baseline.run(wl.warmup_cycles + 120_000);
+    baseline.step_n(wl.warmup_cycles + 120_000);
     let base = baseline.report();
     assert!(
         base.emergencies.emergency_cycles > 1_000,
@@ -60,7 +60,7 @@ fn controller_eliminates_stressmark_emergencies_at_200_percent() {
         })
         .build()
         .unwrap();
-    controlled.run(wl.warmup_cycles + 120_000);
+    controlled.step_n(wl.warmup_cycles + 120_000);
     let ctrl = controlled.report();
 
     assert_eq!(
@@ -89,7 +89,7 @@ fn controller_protects_galgel_at_400_percent() {
         .pdn(pdn.clone())
         .build()
         .unwrap();
-    baseline.run(wl.warmup_cycles + 200_000);
+    baseline.step_n(wl.warmup_cycles + 200_000);
     assert!(
         baseline.report().emergencies.emergency_cycles > 0,
         "galgel must cross the band at 400%"
@@ -107,7 +107,7 @@ fn controller_protects_galgel_at_400_percent() {
         })
         .build()
         .unwrap();
-    controlled.run(wl.warmup_cycles + 200_000);
+    controlled.step_n(wl.warmup_cycles + 200_000);
     assert_eq!(controlled.report().emergencies.emergency_cycles, 0);
 }
 
@@ -137,7 +137,7 @@ fn control_never_alters_program_results() {
         .pdn(pdn.clone())
         .build()
         .unwrap();
-    baseline.run(10_000_000);
+    baseline.step_n(10_000_000);
     assert!(baseline.done());
 
     for scope in [
@@ -156,7 +156,7 @@ fn control_never_alters_program_results() {
             .scope(scope)
             .build()
             .unwrap();
-        controlled.run(10_000_000);
+        controlled.step_n(10_000_000);
         assert!(controlled.done(), "{}: must still finish", scope.name());
         assert!(
             controlled.report().interventions > 0,
@@ -184,7 +184,7 @@ fn target_impedance_means_no_emergencies() {
             .pdn(pdn.clone())
             .build()
             .unwrap();
-        sim.run(wl.warmup_cycles + 100_000);
+        sim.step_n(wl.warmup_cycles + 100_000);
         assert_eq!(
             sim.report().emergencies.emergency_cycles,
             0,
@@ -212,6 +212,6 @@ fn noisy_sensor_still_protects() {
         })
         .build()
         .unwrap();
-    controlled.run(wl.warmup_cycles + 120_000);
+    controlled.step_n(wl.warmup_cycles + 120_000);
     assert_eq!(controlled.report().emergencies.emergency_cycles, 0);
 }
