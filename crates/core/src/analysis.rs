@@ -12,8 +12,9 @@ use crate::sensor::SensorConfig;
 use crate::thresholds::{ControlError, Thresholds};
 use voltctl_cpu::CpuConfig;
 use voltctl_isa::Program;
-use voltctl_pdn::{EmergencyReport, PdnModel, VoltageHistogram, VoltageMonitor};
+use voltctl_pdn::{figure10_histogram, EmergencyReport, PdnModel, VoltageMonitor};
 use voltctl_power::PowerModel;
+use voltctl_telemetry::LinearHistogram;
 
 /// A controlled run compared against its uncontrolled baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,7 +204,7 @@ pub struct TraceReplay {
     /// Out-of-band statistics over the replay.
     pub report: EmergencyReport,
     /// The voltage distribution, when requested.
-    pub histogram: Option<VoltageHistogram>,
+    pub histogram: Option<LinearHistogram>,
 }
 
 /// Replays an uncontrolled current trace through `pdn`, following the
@@ -235,7 +236,7 @@ pub fn replay_current_trace_traced<T: voltctl_trace::Tracer>(
     let mut state = pdn.discretize();
     state.set_reference_current(trace.iter().cloned().fold(f64::MAX, f64::min));
     let mut monitor = VoltageMonitor::new(pdn.v_nominal(), pdn.tolerance());
-    let mut histogram = with_histogram.then(VoltageHistogram::for_nominal_1v);
+    let mut histogram = with_histogram.then(figure10_histogram);
     for (k, &i) in trace.iter().enumerate() {
         let v = state.step(i);
         let band = monitor.observe(v);

@@ -39,10 +39,10 @@ use crate::thresholds::{ControlError, Thresholds};
 use voltctl_cpu::{Cpu, CpuConfig, CycleActivity, GatingState};
 use voltctl_isa::Program;
 use voltctl_pdn::emergency::VoltageBand;
-use voltctl_pdn::{EmergencyReport, PdnModel, PdnState, VoltageHistogram, VoltageMonitor};
+use voltctl_pdn::{figure10_histogram, EmergencyReport, PdnModel, PdnState, VoltageMonitor};
 use voltctl_power::{EnergyAccumulator, PowerModel};
 use voltctl_snap::{Pack, SnapError, SnapshotKind, SnapshotReader, SnapshotWriter, Unpack};
-use voltctl_telemetry::{MetricId, NullRecorder, Recorder, Stopwatch};
+use voltctl_telemetry::{LinearHistogram, MetricId, NullRecorder, Recorder, Stopwatch};
 use voltctl_trace::{events, CycleRecord, NullTracer, SensorBand, SupplyBand, Tracer};
 
 /// Sub-step wall-clock timers are sampled every this many cycles (two
@@ -290,7 +290,7 @@ impl<R: Recorder, T: Tracer> ControlLoopBuilder<R, T> {
                 controller: ThresholdController::new(),
                 actuator: self.actuator,
                 monitor,
-                histogram: VoltageHistogram::for_nominal_1v(),
+                histogram: figure10_histogram(),
                 energy,
                 trace: self.record_trace.then(Vec::new),
                 cycles_in_low: 0,
@@ -367,7 +367,7 @@ pub(crate) struct LoopTail {
     controller: ThresholdController,
     actuator: AsymmetricActuator,
     monitor: VoltageMonitor,
-    histogram: VoltageHistogram,
+    histogram: LinearHistogram,
     energy: EnergyAccumulator,
     trace: Option<Vec<LoopSample>>,
     cycles_in_low: u64,
@@ -714,7 +714,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     }
 
     /// The voltage histogram accumulated so far (Figure 10).
-    pub fn histogram(&self) -> &VoltageHistogram {
+    pub fn histogram(&self) -> &LinearHistogram {
         &self.tail.histogram
     }
 
@@ -723,8 +723,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         &self.recorder
     }
 
-    /// The attached telemetry recorder, mutably (e.g. to register
-    /// histogram buckets before running).
+    /// The attached telemetry recorder, mutably.
     pub fn recorder_mut(&mut self) -> &mut R {
         &mut self.recorder
     }
@@ -788,9 +787,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         rec.value("loop.gating_duty", report.gating_duty());
         rec.value("loop.ipc", report.ipc);
         report.emergencies.record_telemetry(rec);
-        self.tail
-            .histogram
-            .record_telemetry(rec, "loop.voltage_hist");
+        rec.histogram("loop.voltage_hist", &self.tail.histogram);
         self.cpu.stats().record_telemetry(rec);
         self.tail.energy.record_telemetry(rec);
     }
@@ -845,6 +842,9 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         let mut w = voltctl_snap::ByteWriter::new();
         self.tail.monitor.pack(&mut w);
         self.tail.histogram.pack(&mut w);
+        // The sample total an older histogram type stored, kept so
+        // checkpoints keep their layout.
+        w.put_u64(self.tail.histogram.total());
         self.tail.energy.pack(&mut w);
         snap.section(section::MONITOR, LOOP_SECTION_VERSION, w);
 
@@ -934,7 +934,14 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
 
         let mut r = section_reader(section::MONITOR, "monitor state")?;
         let monitor = VoltageMonitor::unpack(&mut r).map_err(snap_err)?;
-        let histogram = VoltageHistogram::unpack(&mut r).map_err(snap_err)?;
+        let histogram = LinearHistogram::unpack(&mut r).map_err(snap_err)?;
+        let total = r.get_u64().map_err(snap_err)?;
+        if total != histogram.total() {
+            return Err(snap_err(SnapError::Corrupt(format!(
+                "voltage histogram claims {total} samples but holds {}",
+                histogram.total()
+            ))));
+        }
         let energy = EnergyAccumulator::unpack(&mut r).map_err(snap_err)?;
         r.expect_end("monitor state").map_err(snap_err)?;
 
@@ -1466,6 +1473,41 @@ mod tests {
         assert!(snapshot_builder(program, power, pdn)
             .restore(&bytes)
             .is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_histogram_total_that_disagrees_with_its_bins() {
+        let (power, pdn) = harness(2.0);
+        let mut sim = ControlLoop::builder(spin_program())
+            .power(power.clone())
+            .pdn(pdn.clone())
+            .build()
+            .unwrap();
+        sim.step_n(300);
+        let bytes = sim.save();
+        // Re-frame the snapshot with the stored total off by one.
+        let reader = SnapshotReader::parse(&bytes).unwrap();
+        let mut out = SnapshotWriter::new(SnapshotKind::Loop);
+        for sec in reader.sections() {
+            let mut payload = sec.payload.to_vec();
+            if sec.tag == section::MONITOR {
+                let mut r = sec.reader();
+                VoltageMonitor::unpack(&mut r).unwrap();
+                LinearHistogram::unpack(&mut r).unwrap();
+                let at = payload.len() - r.remaining();
+                assert_eq!(payload[at..at + 8], 300u64.to_le_bytes());
+                payload[at] += 1;
+            }
+            let mut w = voltctl_snap::ByteWriter::new();
+            w.put_raw(&payload);
+            out.section(sec.tag, sec.version, w);
+        }
+        let e = ControlLoop::builder(spin_program())
+            .power(power)
+            .pdn(pdn)
+            .restore(&out.finish())
+            .unwrap_err();
+        assert!(e.to_string().contains("claims 301 samples"), "{e}");
     }
 
     #[test]

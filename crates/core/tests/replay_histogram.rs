@@ -4,7 +4,7 @@
 //! histogram must only exist when requested.
 
 use voltctl_core::replay_current_trace;
-use voltctl_pdn::{waveform, PdnModel, VoltageHistogram, VoltageMonitor};
+use voltctl_pdn::{figure10_histogram, waveform, PdnModel, VoltageMonitor};
 use voltctl_telemetry::Rng;
 
 /// A resonant square train with seeded jitter — enough dI/dt activity at
@@ -36,9 +36,9 @@ fn histogram_accounts_for_every_cycle() {
     let trace = emergency_trace(&model, 5000);
     let replay = replay_current_trace(&model, &trace, true);
     let hist = replay.histogram.expect("requested histogram");
-    let (below, above) = hist.out_of_range();
+    let binned: u64 = hist.counts().iter().sum();
     assert_eq!(
-        hist.total() + below + above,
+        binned + hist.under() + hist.over(),
         trace.len() as u64,
         "every replayed cycle lands in a bin or an out-of-range tally"
     );
@@ -56,7 +56,7 @@ fn replay_matches_manual_state_space_loop() {
     let mut state = model.discretize();
     state.set_reference_current(trace.iter().cloned().fold(f64::MAX, f64::min));
     let mut monitor = VoltageMonitor::new(model.v_nominal(), model.tolerance());
-    let mut hist = VoltageHistogram::for_nominal_1v();
+    let mut hist = figure10_histogram();
     for &i in &trace {
         let v = state.step(i);
         monitor.observe(v);
@@ -72,7 +72,7 @@ fn replay_matches_manual_state_space_loop() {
     assert_eq!(replay.report.over_events, manual.over_events);
     assert_eq!(replay.report.min_v.to_bits(), manual.min_v.to_bits());
     assert_eq!(replay.report.max_v.to_bits(), manual.max_v.to_bits());
-    assert_eq!(replay.histogram.unwrap().counts(), hist.counts());
+    assert_eq!(replay.histogram.unwrap(), hist);
 
     // The stress trace actually exercises the monitor.
     assert!(manual.any(), "trace must trigger at least one emergency");
@@ -85,7 +85,7 @@ fn replay_is_deterministic_and_network_scales_sanely() {
     let a = replay_current_trace(&model, &trace, true);
     let b = replay_current_trace(&model, &trace, true);
     assert_eq!(a.report.emergency_cycles, b.report.emergency_cycles);
-    assert_eq!(a.histogram.unwrap().counts(), b.histogram.unwrap().counts());
+    assert_eq!(a.histogram, b.histogram);
 
     // A stiffer network (higher impedance) can only widen the excursion.
     let stiff = model.scaled(3.0).unwrap();

@@ -1,6 +1,5 @@
 //! The reference machine and the shared evaluation helpers every
-//! scenario builds on (hoisted from the old `voltctl-bench` library so
-//! there is exactly one copy):
+//! scenario builds on:
 //!
 //! * the standard power model, machine configuration, and the calibrated
 //!   supply network at any percent of target impedance (memoized —

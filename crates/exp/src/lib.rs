@@ -13,9 +13,6 @@
 //! voltctl-exp run table2_emergencies --jobs 8
 //! voltctl-exp run --all --smoke
 //! ```
-//!
-//! The old `cargo run -p voltctl-bench --bin <id>` binaries remain as
-//! deprecated shims over [`shim::run`].
 
 pub mod bench;
 pub mod engine;
@@ -27,7 +24,6 @@ pub mod report;
 pub mod scale;
 pub mod scenarios;
 pub mod shard;
-pub mod shim;
 pub mod snapshot;
 pub mod telemetry;
 pub mod trace;

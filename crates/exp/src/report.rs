@@ -1,6 +1,5 @@
 //! Plain-text report rendering shared by every scenario: aligned
 //! tables, fixed-height ASCII charts, and percentage formatting.
-//! (Hoisted from the old per-binary harness in `voltctl-bench`.)
 
 /// Renders an aligned plain-text table.
 #[derive(Debug, Default)]

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 use voltctl_core::{replay_current_trace, replay_current_trace_traced};
-use voltctl_pdn::VoltageHistogram;
+use voltctl_telemetry::{LinearHistogram, Recorder};
 use voltctl_trace::FlightRecorder;
 use voltctl_workloads::{spec, Workload};
 
@@ -199,7 +199,7 @@ impl Scenario for Fig10VoltageDistributions {
         if ctx.telemetry {
             // Suite-wide aggregate: histograms merge bin-wise, reports sum.
             r.record_telemetry(&mut out.recorder);
-            hist.record_telemetry(&mut out.recorder, "pdn.voltage_hist");
+            out.recorder.histogram("pdn.voltage_hist", hist);
         }
         out.row = vec![
             wl.name.clone(),
@@ -248,7 +248,7 @@ impl Scenario for Fig10VoltageDistributions {
 
 /// Collapses a 100-bin voltage histogram into a 25-character density
 /// sparkline.
-fn sparkline(hist: &VoltageHistogram) -> String {
+fn sparkline(hist: &LinearHistogram) -> String {
     let counts = hist.counts();
     let glyphs = [' ', '.', ':', '+', '*', '#'];
     let bucket = counts.len() / 25;

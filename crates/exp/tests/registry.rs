@@ -1,64 +1,8 @@
-//! Registry-consistency checks: the deprecated shim binaries under
-//! `crates/bench/src/bin/` and the scenario registry must stay a 1:1
-//! mapping, and the `voltctl-exp list` rows must be sorted and
-//! duplicate-free.
-
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+//! Registry-consistency check: the `voltctl-exp list` rows must be
+//! sorted and duplicate-free.
 
 use voltctl_exp::engine::Ctx;
-use voltctl_exp::{find, listing, registry};
-
-/// The shim-binary directory, located relative to this crate's manifest.
-fn shim_bin_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("bench")
-        .join("src")
-        .join("bin")
-}
-
-/// The scenario id a shim source dispatches to: the string literal in
-/// its `voltctl_exp::shim::run("<id>")` call.
-fn shim_target(source: &str) -> Option<String> {
-    let tail = source.split("shim::run(\"").nth(1)?;
-    Some(tail.split('"').next()?.to_string())
-}
-
-#[test]
-fn every_shim_resolves_to_exactly_one_registered_scenario() {
-    let dir = shim_bin_dir();
-    let mut targets = BTreeSet::new();
-    let mut shims = 0;
-    for entry in std::fs::read_dir(&dir).expect("bench bin dir exists") {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-            continue;
-        }
-        shims += 1;
-        let source = std::fs::read_to_string(&path).unwrap();
-        let id = shim_target(&source)
-            .unwrap_or_else(|| panic!("{} has no shim::run call", path.display()));
-        assert!(
-            find(&id).is_some(),
-            "{} dispatches to unregistered scenario {id:?}",
-            path.display()
-        );
-        assert!(
-            targets.insert(id.clone()),
-            "two shims dispatch to {id:?} — the mapping must be 1:1"
-        );
-    }
-    // 1:1 both ways: every registered scenario has its shim.
-    assert_eq!(shims, registry().len(), "shim count != registry size");
-    for s in registry() {
-        assert!(
-            targets.contains(s.id()),
-            "scenario {:?} has no shim binary",
-            s.id()
-        );
-    }
-}
+use voltctl_exp::{listing, registry};
 
 #[test]
 fn listing_is_sorted_and_duplicate_free() {

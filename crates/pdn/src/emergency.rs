@@ -5,8 +5,10 @@
 //! per-cycle voltage stream and tallies emergencies both as discrete
 //! *events* (each entry into the forbidden band counts once) and as
 //! *cycle counts* (how long the supply stays out of specification), which is
-//! what Table 2's "emergency frequency" reports. [`VoltageHistogram`] builds
-//! the voltage-distribution curves of Figure 10.
+//! what Table 2's "emergency frequency" reports. [`figure10_histogram`] is
+//! the empty voltage distribution of Figure 10.
+
+use voltctl_telemetry::LinearHistogram;
 
 /// Classification of a single voltage sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -285,155 +287,10 @@ impl EmergencyReport {
     }
 }
 
-/// A fixed-bin histogram of supply-voltage samples (Figure 10).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VoltageHistogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-    total: u64,
-}
-
-impl VoltageHistogram {
-    /// Creates a histogram spanning `[lo, hi)` volts with `bins` equal bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi` and `bins > 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "need at least one bin");
-        VoltageHistogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            below: 0,
-            above: 0,
-            total: 0,
-        }
-    }
-
-    /// A convenient default for 1.0 V nominal: [0.90, 1.10) V, 100 bins
-    /// (2 mV resolution).
-    pub fn for_nominal_1v() -> Self {
-        VoltageHistogram::new(0.90, 1.10, 100)
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, volts: f64) {
-        self.total += 1;
-        if volts < self.lo {
-            self.below += 1;
-        } else if volts >= self.hi {
-            self.above += 1;
-        } else {
-            let frac = (volts - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Records every sample of a trace.
-    pub fn record_all(&mut self, volts: &[f64]) {
-        for &v in volts {
-            self.record(v);
-        }
-    }
-
-    /// Raw bin counts (ascending voltage).
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The `[lo, hi)` voltage range the bins span.
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
-    /// Converts into the telemetry crate's plain-data histogram form.
-    pub fn to_histogram_data(&self) -> voltctl_telemetry::HistogramData {
-        voltctl_telemetry::HistogramData {
-            lo: self.lo,
-            hi: self.hi,
-            counts: self.bins.clone(),
-            under: self.below,
-            over: self.above,
-        }
-    }
-
-    /// Stores the histogram into a telemetry recorder under `name`.
-    pub fn record_telemetry(&self, rec: &mut impl voltctl_telemetry::Recorder, name: &'static str) {
-        rec.histogram(name, self.to_histogram_data());
-    }
-
-    /// `(bin_center_volts, fraction_of_samples)` pairs.
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let total = self.total.max(1) as f64;
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + width * (i as f64 + 0.5), c as f64 / total))
-            .collect()
-    }
-
-    /// Total recorded samples (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Samples below/above the histogram range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.below, self.above)
-    }
-
-    /// The standard deviation of the recorded in-range samples,
-    /// approximated from bin centers. A measure of how "wide" a benchmark's
-    /// voltage distribution is (ammp narrow, galgel wide in Fig. 10).
-    pub fn spread(&self) -> f64 {
-        let pts = self.normalized();
-        let mean: f64 = pts.iter().map(|(v, p)| v * p).sum();
-        let var: f64 = pts.iter().map(|(v, p)| (v - mean).powi(2) * p).sum();
-        var.sqrt()
-    }
-}
-
-impl voltctl_snap::Pack for VoltageHistogram {
-    fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
-        w.put_f64(self.lo);
-        w.put_f64(self.hi);
-        self.bins.pack(w);
-        w.put_u64(self.below);
-        w.put_u64(self.above);
-        w.put_u64(self.total);
-    }
-}
-
-impl voltctl_snap::Unpack for VoltageHistogram {
-    fn unpack(r: &mut voltctl_snap::ByteReader<'_>) -> Result<Self, voltctl_snap::SnapError> {
-        let lo = r.get_f64()?;
-        let hi = r.get_f64()?;
-        let bins: Vec<u64> = voltctl_snap::Unpack::unpack(r)?;
-        let below = r.get_u64()?;
-        let above = r.get_u64()?;
-        let total = r.get_u64()?;
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi || bins.is_empty() {
-            return Err(voltctl_snap::SnapError::Corrupt(format!(
-                "voltage histogram geometry invalid: range [{lo}, {hi}), {} bins",
-                bins.len()
-            )));
-        }
-        Ok(VoltageHistogram {
-            lo,
-            hi,
-            bins,
-            below,
-            above,
-            total,
-        })
-    }
+/// An empty histogram over Figure 10's range for 1.0 V nominal:
+/// [0.90, 1.10) V in 100 bins (2 mV resolution).
+pub fn figure10_histogram() -> LinearHistogram {
+    LinearHistogram::new(0.90, 1.10, 100)
 }
 
 #[cfg(test)]
@@ -503,35 +360,5 @@ mod tests {
         let r = mon.report();
         assert_eq!(r.min_v, 0.96);
         assert_eq!(r.max_v, 1.03);
-    }
-
-    #[test]
-    fn histogram_bins_and_normalization() {
-        let mut h = VoltageHistogram::new(0.9, 1.1, 20);
-        h.record_all(&[0.95, 0.95, 1.05, 0.85, 1.15]);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.out_of_range(), (1, 1));
-        let sum: f64 = h.normalized().iter().map(|(_, p)| p).sum();
-        assert!((sum - 3.0 / 5.0).abs() < 1e-12); // 3 in-range of 5
-    }
-
-    #[test]
-    fn histogram_spread_orders_stable_vs_variable() {
-        let mut narrow = VoltageHistogram::for_nominal_1v();
-        let mut wide = VoltageHistogram::for_nominal_1v();
-        for k in 0..1000 {
-            narrow.record(1.0 + 0.001 * ((k % 3) as f64 - 1.0));
-            wide.record(1.0 + 0.03 * (((k % 7) as f64 - 3.0) / 3.0));
-        }
-        assert!(wide.spread() > 3.0 * narrow.spread());
-    }
-
-    #[test]
-    fn histogram_edge_sample_goes_to_last_bin() {
-        let mut h = VoltageHistogram::new(0.0, 1.0, 10);
-        h.record(0.999_999_9);
-        assert_eq!(h.counts()[9], 1);
-        h.record(1.0);
-        assert_eq!(h.out_of_range().1, 1);
     }
 }

@@ -70,7 +70,7 @@ pub mod supply;
 pub mod waveform;
 
 pub use cache::{cached_kernel_for, kernel_cache_stats, CacheStats, ShardedLru};
-pub use emergency::{EmergencyReport, VoltageHistogram, VoltageMonitor};
+pub use emergency::{figure10_histogram, EmergencyReport, VoltageMonitor};
 pub use response::{FrequencyResponse, ResponseMetrics, StepResponse};
 pub use second_order::{PdnError, PdnModel, PdnModelBuilder};
 pub use state_space::PdnState;

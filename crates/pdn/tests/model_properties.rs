@@ -2,7 +2,7 @@
 //! workspace's deterministic RNG (seeded generation replaces proptest —
 //! the build environment has no registry access).
 
-use voltctl_pdn::{waveform, PdnModel, VoltageHistogram, VoltageMonitor};
+use voltctl_pdn::{figure10_histogram, waveform, PdnModel, VoltageMonitor};
 use voltctl_telemetry::Rng;
 
 /// Valid design-parameter triples: R in [0.1, 2] mΩ, f0 in [20, 200] MHz,
@@ -136,11 +136,16 @@ fn histogram_conserves_samples() {
         let mut rng = Rng::new(0x415 + seed);
         let len = rng.range_i64(1, 500) as usize;
         let volts: Vec<f64> = (0..len).map(|_| rng.range_f64(0.80, 1.20)).collect();
-        let mut h = VoltageHistogram::for_nominal_1v();
-        h.record_all(&volts);
+        let mut h = figure10_histogram();
+        for &v in &volts {
+            h.record(v);
+        }
         let binned: u64 = h.counts().iter().sum();
-        let (below, above) = h.out_of_range();
-        assert_eq!(binned + below + above, volts.len() as u64, "seed {seed}");
+        assert_eq!(
+            binned + h.under() + h.over(),
+            volts.len() as u64,
+            "seed {seed}"
+        );
         assert_eq!(h.total(), volts.len() as u64, "seed {seed}");
     }
 }

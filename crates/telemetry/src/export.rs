@@ -7,7 +7,7 @@
 //! `results/telemetry/`), and [`write_trace_csv`] adds optional per-cycle
 //! traces next to them.
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{HistogramSnapshot, Snapshot};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -137,16 +137,16 @@ pub fn to_jsonl(snap: &Snapshot) -> String {
             json_f64(t.mean_ns())
         );
     }
-    for h in &snap.histograms {
-        let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
+    for HistogramSnapshot { name, histogram: h } in &snap.histograms {
+        let counts: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
         let _ = writeln!(
             out,
             "{{\"kind\":\"histogram\",\"name\":\"{}\",\"lo\":{},\"hi\":{},\"under\":{},\"over\":{},\"counts\":[{}]}}",
-            json_escape(&h.name),
-            json_f64(h.lo),
-            json_f64(h.hi),
-            h.under,
-            h.over,
+            json_escape(name),
+            json_f64(h.lo()),
+            json_f64(h.hi()),
+            h.under(),
+            h.over(),
             counts.join(",")
         );
     }
@@ -183,12 +183,12 @@ pub fn to_csv(snap: &Snapshot) -> String {
             t.mean_ns()
         );
     }
-    for h in &snap.histograms {
+    for HistogramSnapshot { name, histogram: h } in &snap.histograms {
         for (center, count) in h.centers() {
             let _ = writeln!(
                 out,
                 "histogram,{},1,{},,,,",
-                csv_escape(&format!("{}[{:.4}]", h.name, center)),
+                csv_escape(&format!("{name}[{center:.4}]")),
                 count
             );
         }
@@ -245,17 +245,17 @@ pub fn to_summary(run: &str, snap: &Snapshot) -> String {
     }
     if !snap.histograms.is_empty() {
         let _ = writeln!(out, "-- histograms --");
-        for h in &snap.histograms {
+        for HistogramSnapshot { name, histogram: h } in &snap.histograms {
             let _ = writeln!(
                 out,
                 "  {}  [{:.4}, {:.4}) bins={} total={} under={} over={}",
-                h.name,
-                h.lo,
-                h.hi,
-                h.counts.len(),
+                name,
+                h.lo(),
+                h.hi(),
+                h.counts().len(),
                 h.total(),
-                h.under,
-                h.over
+                h.under(),
+                h.over()
             );
         }
     }
@@ -406,6 +406,7 @@ pub fn write_trace_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::LinearHistogram;
     use crate::memory::MemoryRecorder;
     use crate::recorder::Recorder;
 
@@ -416,8 +417,9 @@ mod tests {
         r.value("loop.voltage", 0.98);
         r.value("loop.voltage", 1.01);
         r.timer_ns("loop.step.cpu", 12345);
-        r.register_histogram("h", 0.9, 1.1, 4);
-        r.value("h", 0.95);
+        let mut h = LinearHistogram::new(0.9, 1.1, 4);
+        h.record(0.95);
+        r.histogram("h", &h);
         r.snapshot()
     }
 
@@ -470,8 +472,8 @@ mod tests {
         let snap = sample_snapshot();
         let jsonl = to_jsonl(&snap);
         let lines: Vec<&str> = jsonl.lines().collect();
-        // 2 counters + 2 values + 1 timer + 1 histogram.
-        assert_eq!(lines.len(), 6);
+        // 2 counters + 1 value + 1 timer + 1 histogram.
+        assert_eq!(lines.len(), 5);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains("\"kind\":\""));

@@ -11,8 +11,10 @@
 //!   and empty inlineable methods, so instrumented code monomorphizes to
 //!   nothing when telemetry is off.
 //! * [`MemoryRecorder`] — the in-memory aggregator: typed counters,
-//!   value statistics with optional fixed-bin histograms, and wall-clock
-//!   timers keyed by static metric names.
+//!   value statistics, wall-clock timers, and fixed-bin histograms keyed
+//!   by static metric names.
+//! * [`LinearHistogram`] — the fixed-range histogram of simulation
+//!   samples (Figure 10's voltage distributions).
 //! * [`Snapshot`] + [`export`] — a plain-data view of a recorder and
 //!   structured writers for it: JSONL, CSV, and a human-readable
 //!   end-of-run summary.
@@ -26,7 +28,7 @@
 //!   crate everywhere (sensor noise, workload shuffling, property-style
 //!   tests).
 //! * [`stopwatch`] — wall-clock spans and a tiny micro-benchmark harness
-//!   used by the `cargo bench` targets in `crates/bench`.
+//!   used by `voltctl-exp bench`.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 pub mod collector;
 pub mod export;
 pub mod intern;
+pub mod linear;
 pub mod memory;
 pub mod recorder;
 pub mod registry;
@@ -57,8 +60,9 @@ pub mod snapshot;
 pub mod stopwatch;
 
 pub use collector::Collector;
+pub use linear::LinearHistogram;
 pub use memory::MemoryRecorder;
-pub use recorder::{HistogramData, Level, MetricId, NullRecorder, Recorder};
+pub use recorder::{Level, MetricId, NullRecorder, Recorder};
 pub use rng::Rng;
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot, TimerSnapshot, ValueSnapshot};
 pub use stopwatch::Stopwatch;

@@ -9,9 +9,9 @@
 //! * timers — `Vec<(count, total_ns)>`, two adds per record;
 //! * value series — a per-metric *pending ring* of raw `f64` samples.
 //!   Recording is a bare `Vec::push` into preallocated capacity; the
-//!   min/max/sum fold and optional histogram bucketing are deferred
-//!   until the ring fills ([`PENDING_CHUNK`] samples), the series is
-//!   merged, or a snapshot is taken. Samples are always folded in
+//!   min/max/sum fold is deferred until the ring fills
+//!   ([`PENDING_CHUNK`] samples), the series is merged, or a snapshot
+//!   is taken. Samples are always folded in
 //!   arrival order, so the deferred aggregation produces bit-identical
 //!   `f64` statistics to the old fold-per-sample recorder.
 //!
@@ -21,12 +21,13 @@
 //! methods, which cost one bounds-checked index instead of a `BTreeMap`
 //! walk per sample.
 
-use crate::recorder::{HistogramData, Level, MetricId, Recorder};
+use crate::linear::LinearHistogram;
+use crate::recorder::{Level, MetricId, Recorder};
 use crate::snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot, TimerSnapshot, ValueSnapshot};
 use std::collections::BTreeMap;
 
 /// Pending-ring capacity per value series: samples buffered before the
-/// deferred min/max/sum/bucket fold runs. Amortizes the fold to a few
+/// deferred min/max/sum fold runs. Amortizes the fold to a few
 /// tenths of a nanosecond per sample while bounding per-metric memory.
 pub const PENDING_CHUNK: usize = 4096;
 
@@ -63,25 +64,11 @@ impl ValueStat {
     }
 }
 
-fn bucket_sample(h: &mut HistogramData, sample: f64) {
-    if sample < h.lo {
-        h.under += 1;
-    } else if sample >= h.hi {
-        h.over += 1;
-    } else {
-        let bins = h.counts.len();
-        let idx = ((sample - h.lo) / (h.hi - h.lo) * bins as f64) as usize;
-        h.counts[idx.min(bins - 1)] += 1;
-    }
-}
-
-/// One value series: the pending sample ring plus the folded statistics
-/// and optional attached histogram.
+/// One value series: the pending sample ring plus the folded statistics.
 #[derive(Debug, Clone)]
 struct ValueSeries {
     pending: Vec<f64>,
     stat: ValueStat,
-    bucket: Option<HistogramData>,
 }
 
 impl ValueSeries {
@@ -89,7 +76,6 @@ impl ValueSeries {
         ValueSeries {
             pending: Vec::new(),
             stat: ValueStat::new(),
-            bucket: None,
         }
     }
 
@@ -104,16 +90,11 @@ impl ValueSeries {
         }
     }
 
-    /// Folds the pending ring into the running statistics (and histogram
-    /// when attached), in arrival order.
+    /// Folds the pending ring into the running statistics, in arrival
+    /// order.
     fn drain(&mut self) {
         for &sample in &self.pending {
             self.stat.push(sample);
-        }
-        if let Some(h) = &mut self.bucket {
-            for &sample in &self.pending {
-                bucket_sample(h, sample);
-            }
         }
         self.pending.clear();
     }
@@ -126,16 +107,6 @@ impl ValueSeries {
             stat.push(sample);
         }
         stat
-    }
-
-    /// The attached histogram with pending samples folded in, without
-    /// mutating.
-    fn effective_bucket(&self) -> Option<HistogramData> {
-        let mut h = self.bucket.clone()?;
-        for &sample in &self.pending {
-            bucket_sample(&mut h, sample);
-        }
-        Some(h)
     }
 }
 
@@ -152,11 +123,6 @@ pub struct RecordedEvent {
 
 /// Aggregates counters, value statistics, timers, histograms, and events
 /// in memory; the run-end [`Snapshot`] feeds the exporters.
-///
-/// Value series can optionally be bucketed: [`register_histogram`]
-/// attaches a fixed-bin histogram that subsequent samples also land in.
-///
-/// [`register_histogram`]: MemoryRecorder::register_histogram
 #[derive(Debug, Clone, Default)]
 pub struct MemoryRecorder {
     /// `name -> id`; also the sorted iteration order for snapshots.
@@ -175,7 +141,7 @@ pub struct MemoryRecorder {
     values: Vec<ValueSeries>,
     /// Wholesale pre-aggregated histograms ([`Recorder::histogram`]),
     /// id-indexed.
-    histograms: Vec<Option<HistogramData>>,
+    histograms: Vec<Option<LinearHistogram>>,
     events: Vec<RecordedEvent>,
     echo_warnings: bool,
 }
@@ -210,30 +176,13 @@ impl MemoryRecorder {
         id
     }
 
-    /// Attaches a fixed-bin histogram to the value series `name`: every
-    /// later [`Recorder::value`] sample for that series is also bucketed
-    /// into `bins` equal bins spanning `[lo, hi)`. Samples recorded
-    /// *before* the registration keep their statistics but are not
-    /// retroactively bucketed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lo >= hi` or `bins == 0`.
-    pub fn register_histogram(&mut self, name: &'static str, lo: f64, hi: f64, bins: usize) {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        let id = self.intern(name) as usize;
-        let series = &mut self.values[id];
-        // Earlier samples predate the bucket: fold them first so they
-        // land in the statistics only.
-        series.drain();
-        series.bucket = Some(HistogramData {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            under: 0,
-            over: 0,
-        });
+    /// Adds `h` into histogram slot `id`: same-shape histograms add
+    /// bin-wise, a different shape replaces.
+    fn add_histogram(&mut self, id: usize, h: &LinearHistogram) {
+        match &mut self.histograms[id] {
+            Some(existing) if existing.same_shape(h) => existing.merge(h),
+            slot => *slot = Some(h.clone()),
+        }
     }
 
     /// The events recorded so far, in arrival order.
@@ -264,18 +213,12 @@ impl MemoryRecorder {
                 self.timers[id].1 += other.timers[oid].1;
                 self.timers_used[id] = true;
             }
-            let oseries = &other.values[oid];
-            let ostat = oseries.effective_stat();
+            let ostat = other.values[oid].effective_stat();
             if ostat.count > 0 {
                 self.values[id].stat.merge(&ostat);
             }
-            // Wholesale histograms first, then the other's bucketed one —
-            // same shapes add bin-wise, a different shape replaces.
             if let Some(h) = &other.histograms[oid] {
-                merge_histogram(&mut self.histograms[id], h);
-            }
-            if let Some(h) = oseries.effective_bucket() {
-                merge_histogram(&mut self.histograms[id], &h);
+                self.add_histogram(id, h);
             }
         }
         self.events.extend(other.events.iter().cloned());
@@ -295,8 +238,7 @@ impl MemoryRecorder {
                     value: self.counters[id],
                 });
             }
-            let series = &self.values[id];
-            let stat = series.effective_stat();
+            let stat = self.values[id].effective_stat();
             if stat.count > 0 {
                 values.push(ValueSnapshot {
                     name: name.to_string(),
@@ -314,20 +256,10 @@ impl MemoryRecorder {
                     total_ns,
                 });
             }
-            let mut effective = self.histograms[id].clone();
-            if let Some(bucket) = series.effective_bucket() {
-                if bucket.total() > 0 {
-                    merge_histogram(&mut effective, &bucket);
-                }
-            }
-            if let Some(h) = effective {
+            if let Some(h) = &self.histograms[id] {
                 histograms.push(HistogramSnapshot {
                     name: name.to_string(),
-                    lo: h.lo,
-                    hi: h.hi,
-                    counts: h.counts,
-                    under: h.under,
-                    over: h.over,
+                    histogram: h.clone(),
                 });
             }
         }
@@ -367,17 +299,24 @@ impl voltctl_snap::Unpack for ValueStat {
 impl voltctl_snap::Pack for ValueSeries {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         voltctl_snap::Pack::pack(&self.effective_stat(), w);
-        voltctl_snap::Pack::pack(&self.effective_bucket(), w);
+        // The absent tag of the per-series histogram older versions
+        // carried, kept so checkpoints keep their layout.
+        w.put_u8(0);
     }
 }
 
 impl voltctl_snap::Unpack for ValueSeries {
     fn unpack(r: &mut voltctl_snap::ByteReader<'_>) -> Result<Self, voltctl_snap::SnapError> {
-        Ok(ValueSeries {
-            pending: Vec::new(),
-            stat: voltctl_snap::Unpack::unpack(r)?,
-            bucket: voltctl_snap::Unpack::unpack(r)?,
-        })
+        let stat = voltctl_snap::Unpack::unpack(r)?;
+        match r.get_u8()? {
+            0 => Ok(ValueSeries {
+                pending: Vec::new(),
+                stat,
+            }),
+            tag => Err(voltctl_snap::SnapError::Corrupt(format!(
+                "value series carries histogram tag {tag}; per-series histograms are not supported"
+            ))),
+        }
     }
 }
 
@@ -436,7 +375,7 @@ impl voltctl_snap::Unpack for MemoryRecorder {
         let timers: Vec<(u64, u64)> = voltctl_snap::Unpack::unpack(r)?;
         let timers_used: Vec<bool> = voltctl_snap::Unpack::unpack(r)?;
         let values: Vec<ValueSeries> = voltctl_snap::Unpack::unpack(r)?;
-        let histograms: Vec<Option<HistogramData>> = voltctl_snap::Unpack::unpack(r)?;
+        let histograms: Vec<Option<LinearHistogram>> = voltctl_snap::Unpack::unpack(r)?;
         let events: Vec<RecordedEvent> = voltctl_snap::Unpack::unpack(r)?;
         let echo_warnings = r.get_bool()?;
         for (what, len) in [
@@ -465,25 +404,6 @@ impl voltctl_snap::Unpack for MemoryRecorder {
             events,
             echo_warnings,
         })
-    }
-}
-
-fn merge_histogram(into: &mut Option<HistogramData>, h: &HistogramData) {
-    match into {
-        Some(existing)
-            if existing.counts.len() == h.counts.len()
-                && existing.lo == h.lo
-                && existing.hi == h.hi =>
-        {
-            for (a, b) in existing.counts.iter_mut().zip(&h.counts) {
-                *a += b;
-            }
-            existing.under += h.under;
-            existing.over += h.over;
-        }
-        _ => {
-            *into = Some(h.clone());
-        }
     }
 }
 
@@ -527,11 +447,9 @@ impl Recorder for MemoryRecorder {
         self.timers_used[i] = true;
     }
 
-    fn histogram(&mut self, name: &'static str, data: HistogramData) {
-        // Accumulate, matching `merge` semantics: same-shape histograms
-        // add bin-wise, a different shape replaces.
+    fn histogram(&mut self, name: &'static str, hist: &LinearHistogram) {
         let id = self.intern(name) as usize;
-        merge_histogram(&mut self.histograms[id], &data);
+        self.add_histogram(id, hist);
     }
 
     fn event(&mut self, level: Level, topic: &'static str, message: &str) {
@@ -576,33 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_histogram_buckets_samples() {
-        let mut r = MemoryRecorder::new();
-        r.register_histogram("v", 0.0, 1.0, 4);
-        for v in [-0.1, 0.1, 0.3, 0.6, 0.6, 0.99, 1.5] {
-            r.value("v", v);
-        }
-        let s = r.snapshot();
-        let h = s.histogram("v").unwrap();
-        assert_eq!(h.counts, vec![1, 1, 2, 1]);
-        assert_eq!(h.under, 1);
-        assert_eq!(h.over, 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.total(), s.value("v").unwrap().count);
-    }
-
-    #[test]
-    fn samples_before_registration_are_not_bucketed() {
-        let mut r = MemoryRecorder::new();
-        r.value("v", 0.5);
-        r.register_histogram("v", 0.0, 1.0, 2);
-        r.value("v", 0.5);
-        let s = r.snapshot();
-        assert_eq!(s.value("v").unwrap().count, 2, "stats keep every sample");
-        assert_eq!(s.histogram("v").unwrap().total(), 1, "bucket starts late");
-    }
-
-    #[test]
     fn timers_accumulate_spans() {
         let mut r = MemoryRecorder::new();
         r.timer_ns("t", 100);
@@ -618,8 +509,6 @@ mod tests {
     fn id_path_matches_name_path_exactly() {
         let mut by_name = MemoryRecorder::new();
         let mut by_id = MemoryRecorder::new();
-        by_id.register_histogram("v", 0.0, 1.0, 4);
-        by_name.register_histogram("v", 0.0, 1.0, 4);
         let v = by_id.metric_id("v");
         let c = by_id.metric_id("c");
         let t = by_id.metric_id("t");
@@ -675,29 +564,40 @@ mod tests {
 
     #[test]
     fn merge_adds_matching_histograms() {
-        let h = |counts: Vec<u64>| HistogramData {
-            lo: 0.0,
-            hi: 1.0,
-            counts,
-            under: 0,
-            over: 1,
+        let h = |samples: &[f64]| {
+            let mut h = LinearHistogram::new(0.0, 1.0, 2);
+            for &v in samples {
+                h.record(v);
+            }
+            h
         };
         let mut a = MemoryRecorder::new();
-        a.histogram("h", h(vec![1, 0]));
+        a.histogram("h", &h(&[0.1, 1.5]));
         let mut b = MemoryRecorder::new();
-        b.histogram("h", h(vec![2, 5]));
+        b.histogram("h", &h(&[0.1, 0.2, 0.6, 0.7, 0.8, 0.9, 0.95, 1.5]));
         a.merge(&b);
         let s = a.snapshot();
         let got = s.histogram("h").unwrap();
-        assert_eq!(got.counts, vec![3, 5]);
-        assert_eq!(got.over, 2);
+        assert_eq!(got.counts(), &[3, 5]);
+        assert_eq!(got.over(), 2);
+    }
+
+    #[test]
+    fn merge_replaces_a_histogram_of_another_shape() {
+        let mut a = MemoryRecorder::new();
+        a.histogram("h", &LinearHistogram::new(0.0, 1.0, 2));
+        let mut wider = LinearHistogram::new(0.0, 2.0, 2);
+        wider.record(1.5);
+        let mut b = MemoryRecorder::new();
+        b.histogram("h", &wider);
+        a.merge(&b);
+        assert_eq!(a.snapshot().histogram("h"), Some(&wider));
     }
 
     #[test]
     fn merge_folds_pending_samples_from_both_sides() {
         let mut a = MemoryRecorder::new();
         let mut b = MemoryRecorder::new();
-        b.register_histogram("v", 0.0, 1.0, 2);
         let ia = a.metric_id("v");
         let ib = b.metric_id("v");
         for i in 0..100 {
@@ -707,15 +607,8 @@ mod tests {
         a.merge(&b);
         let s = a.snapshot();
         assert_eq!(s.value("v").unwrap().count, 200, "pending samples survive");
-        assert_eq!(s.histogram("v").unwrap().total(), 100);
         // `b` itself is untouched.
         assert_eq!(b.snapshot().value("v").unwrap().count, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn degenerate_histogram_range_rejected() {
-        MemoryRecorder::new().register_histogram("x", 1.0, 1.0, 4);
     }
 
     #[test]
@@ -723,7 +616,7 @@ mod tests {
         use voltctl_snap::{ByteReader, ByteWriter, Pack, Unpack};
         let build = |checkpoint_at: usize| -> Snapshot {
             let mut r = MemoryRecorder::new();
-            r.register_histogram("v", 0.0, 1.0, 8);
+            r.histogram("h", &LinearHistogram::new(0.0, 1.0, 8));
             r.counter("c", 5);
             r.timer_ns("t", 111);
             r.event(Level::Warn, "topic", "early");
@@ -776,21 +669,74 @@ mod tests {
     #[test]
     fn repeated_histogram_records_accumulate() {
         let mut r = MemoryRecorder::new();
+        let mut h = LinearHistogram::new(0.0, 1.0, 2);
+        for v in [-1.0, 0.2, 0.6, 0.7] {
+            h.record(v);
+        }
         for _ in 0..2 {
-            r.histogram(
-                "h",
-                HistogramData {
-                    lo: 0.0,
-                    hi: 1.0,
-                    counts: vec![1, 2],
-                    under: 1,
-                    over: 0,
-                },
-            );
+            r.histogram("h", &h);
         }
         let s = r.snapshot();
         let h = s.histogram("h").unwrap();
-        assert_eq!(h.counts, vec![2, 4]);
-        assert_eq!(h.under, 2);
+        assert_eq!(h.counts(), &[2, 4]);
+        assert_eq!(h.under(), 2);
+    }
+
+    #[test]
+    fn wire_decode_rejects_zero_bin_histograms() {
+        use voltctl_snap::{ByteReader, ByteWriter, Pack, SnapError, Unpack};
+        let encode = |h: Option<LinearHistogram>| {
+            let mut w = ByteWriter::new();
+            h.pack(&mut w);
+            w.into_bytes()
+        };
+        let one_bin = LinearHistogram::new(0.25, 0.75, 1);
+        let mut r = MemoryRecorder::new();
+        r.histogram("h", &one_bin);
+        let mut w = ByteWriter::new();
+        r.pack(&mut w);
+        let bytes = w.into_bytes();
+        // Swap the encoded one-bin histogram for the same one without bins.
+        let needle = encode(Some(one_bin));
+        let at = bytes
+            .windows(needle.len())
+            .position(|win| win == needle.as_slice())
+            .expect("histogram encoded once");
+        let mut w = ByteWriter::new();
+        w.put_u8(1);
+        w.put_f64(0.25);
+        w.put_f64(0.75);
+        w.put_usize(0);
+        w.put_u64(0);
+        w.put_u64(0);
+        let bytes = [&bytes[..at], w.as_bytes(), &bytes[at + needle.len()..]].concat();
+        let got = MemoryRecorder::unpack(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(SnapError::Corrupt(_))), "{got:?}");
+    }
+
+    #[test]
+    fn wire_decode_rejects_a_value_series_histogram() {
+        use voltctl_snap::{ByteReader, ByteWriter, Pack, SnapError, Unpack};
+        let mut r = MemoryRecorder::new();
+        r.value("v", 0.5);
+        let mut w = ByteWriter::new();
+        r.pack(&mut w);
+        let mut bytes = w.into_bytes();
+        // One name, one slot per channel: the value series' tag byte sits
+        // right after its 32-byte statistics, which follow the name table
+        // and the four counter/timer vectors.
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_str("v");
+        vec![0u64].pack(&mut w);
+        vec![false].pack(&mut w);
+        vec![(0u64, 0u64)].pack(&mut w);
+        vec![false].pack(&mut w);
+        w.put_usize(1);
+        let tag_at = w.into_bytes().len() + 32;
+        assert_eq!(bytes[tag_at], 0, "absent tag");
+        bytes[tag_at] = 1;
+        let got = MemoryRecorder::unpack(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(SnapError::Corrupt(_))), "{got:?}");
     }
 }

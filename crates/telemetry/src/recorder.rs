@@ -7,6 +7,8 @@
 //! empty default methods, so the disabled configuration compiles to the
 //! uninstrumented loop.
 
+use crate::linear::LinearHistogram;
+
 /// Severity of a telemetry event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
@@ -23,29 +25,6 @@ impl Level {
             Level::Info => "info",
             Level::Warn => "warn",
         }
-    }
-}
-
-/// A plain-data fixed-bin histogram handed to a recorder wholesale
-/// (used for pre-aggregated data such as the PDN's voltage histogram).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramData {
-    /// Lower edge of the first bin.
-    pub lo: f64,
-    /// Upper edge of the last bin.
-    pub hi: f64,
-    /// Per-bin sample counts.
-    pub counts: Vec<u64>,
-    /// Samples below `lo`.
-    pub under: u64,
-    /// Samples above `hi`.
-    pub over: u64,
-}
-
-impl HistogramData {
-    /// Total samples including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.under + self.over
     }
 }
 
@@ -67,38 +46,6 @@ impl voltctl_snap::Unpack for Level {
                 "unknown event level {other}"
             ))),
         }
-    }
-}
-
-impl voltctl_snap::Pack for HistogramData {
-    fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
-        w.put_f64(self.lo);
-        w.put_f64(self.hi);
-        voltctl_snap::Pack::pack(&self.counts, w);
-        w.put_u64(self.under);
-        w.put_u64(self.over);
-    }
-}
-
-impl voltctl_snap::Unpack for HistogramData {
-    fn unpack(r: &mut voltctl_snap::ByteReader<'_>) -> Result<Self, voltctl_snap::SnapError> {
-        let lo = r.get_f64()?;
-        let hi = r.get_f64()?;
-        let counts = voltctl_snap::Unpack::unpack(r)?;
-        let under = r.get_u64()?;
-        let over = r.get_u64()?;
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(voltctl_snap::SnapError::Corrupt(format!(
-                "histogram range [{lo}, {hi}) is empty or non-finite"
-            )));
-        }
-        Ok(HistogramData {
-            lo,
-            hi,
-            counts,
-            under,
-            over,
-        })
     }
 }
 
@@ -168,10 +115,10 @@ pub trait Recorder {
         let _ = (id, nanos);
     }
 
-    /// Stores a pre-aggregated histogram under `name` (replacing any
-    /// previous one with the same name).
-    fn histogram(&mut self, name: &'static str, data: HistogramData) {
-        let _ = (name, data);
+    /// Adds a pre-aggregated histogram into the one stored under `name`
+    /// (bin-wise when the shapes match; a different shape replaces it).
+    fn histogram(&mut self, name: &'static str, hist: &LinearHistogram) {
+        let _ = (name, hist);
     }
 
     /// Emits a discrete event.
@@ -220,8 +167,8 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
         (**self).timer_id(id, nanos);
     }
 
-    fn histogram(&mut self, name: &'static str, data: HistogramData) {
-        (**self).histogram(name, data);
+    fn histogram(&mut self, name: &'static str, hist: &LinearHistogram) {
+        (**self).histogram(name, hist);
     }
 
     fn event(&mut self, level: Level, topic: &'static str, message: &str) {
@@ -250,28 +197,7 @@ mod tests {
         r.counter_id(id, 1);
         r.value_id(id, 2.0);
         r.timer_id(id, 3);
-        r.histogram(
-            "h",
-            HistogramData {
-                lo: 0.0,
-                hi: 1.0,
-                counts: vec![1],
-                under: 0,
-                over: 0,
-            },
-        );
-    }
-
-    #[test]
-    fn histogram_data_totals() {
-        let h = HistogramData {
-            lo: 0.0,
-            hi: 1.0,
-            counts: vec![2, 3],
-            under: 1,
-            over: 4,
-        };
-        assert_eq!(h.total(), 10);
+        r.histogram("h", &LinearHistogram::new(0.0, 1.0, 1));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! snapshots can be merged, diffed, or serialized after the simulation
 //! state is gone.
 
+use crate::linear::LinearHistogram;
+
 /// One monotonic counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
@@ -62,39 +64,13 @@ impl TimerSnapshot {
     }
 }
 
-/// One fixed-bin histogram.
+/// One named fixed-bin histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Histogram name.
     pub name: String,
-    /// Lower edge of the first bin.
-    pub lo: f64,
-    /// Upper edge of the last bin.
-    pub hi: f64,
-    /// Per-bin counts.
-    pub counts: Vec<u64>,
-    /// Samples below `lo`.
-    pub under: u64,
-    /// Samples above `hi`.
-    pub over: u64,
-}
-
-impl HistogramSnapshot {
-    /// Total samples including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.under + self.over
-    }
-
-    /// The `(center, count)` pairs of the in-range bins.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let n = self.counts.len().max(1);
-        let width = (self.hi - self.lo) / n as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * width, c))
-            .collect()
-    }
+    /// The aggregated bins.
+    pub histogram: LinearHistogram,
 }
 
 /// Everything a recorder aggregated, ready for export.
@@ -138,8 +114,11 @@ impl Snapshot {
     }
 
     /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
+    pub fn histogram(&self, name: &str) -> Option<&LinearHistogram> {
+        self.histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map(|h| &h.histogram)
     }
 }
 
@@ -157,22 +136,6 @@ mod tests {
             max: f64::MIN,
         };
         assert_eq!(v.mean(), 0.0);
-    }
-
-    #[test]
-    fn histogram_centers_are_midpoints() {
-        let h = HistogramSnapshot {
-            name: "h".into(),
-            lo: 0.0,
-            hi: 1.0,
-            counts: vec![1, 2],
-            under: 0,
-            over: 0,
-        };
-        let c = h.centers();
-        assert!((c[0].0 - 0.25).abs() < 1e-12);
-        assert!((c[1].0 - 0.75).abs() < 1e-12);
-        assert_eq!(h.total(), 3);
     }
 
     #[test]

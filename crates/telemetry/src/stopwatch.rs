@@ -1,9 +1,8 @@
 //! Wall-clock spans and a registry-free micro-benchmark harness.
 //!
 //! [`Stopwatch`] is the span primitive the closed loop uses around its
-//! sub-steps; [`bench`] is the minimal Criterion replacement the
-//! `crates/bench` `[[bench]]` targets run on (the build environment
-//! cannot fetch Criterion).
+//! sub-steps; [`bench`] is the minimal Criterion replacement that
+//! `voltctl-exp bench` times its suites with.
 
 use crate::recorder::{MetricId, Recorder};
 use std::time::Instant;

@@ -7,10 +7,14 @@
 //! histogram bins — must be associative and commutative: any merge tree
 //! over the same set of recorders must produce the same aggregate.
 //!
+//! A histogram merge must also agree with recording: any sample
+//! sequence recorded into one histogram equals the same sequence split
+//! in two, recorded into two histograms, and merged.
+//!
 //! Every case is generated from the in-tree SplitMix64 RNG, so a failure
 //! reproduces from its printed seed.
 
-use voltctl_telemetry::{HistogramData, MemoryRecorder, Recorder, Rng, Snapshot};
+use voltctl_telemetry::{LinearHistogram, MemoryRecorder, Recorder, Rng, Snapshot};
 
 /// Shared histogram shape: merge is only bin-additive for matching
 /// shapes (a mismatched shape intentionally replaces), so the
@@ -23,6 +27,21 @@ const COUNTER_NAMES: [&str; 4] = ["c.alpha", "c.beta", "c.gamma", "c.delta"];
 const VALUE_NAMES: [&str; 3] = ["v.volt", "v.amp", "v.ipc"];
 const TIMER_NAMES: [&str; 2] = ["t.step", "t.solve"];
 const HIST_NAMES: [&str; 2] = ["h.voltage", "h.current"];
+
+/// Up to 200 samples, mostly in `[HIST_LO, HIST_HI)`, with some exactly
+/// at either edge and some outside the range on both sides.
+fn random_samples(rng: &mut Rng) -> Vec<f64> {
+    let len = (rng.next_u64() % 200) as usize;
+    (0..len)
+        .map(|_| match rng.next_u64() % 8 {
+            0 => HIST_LO,
+            1 => HIST_HI,
+            2 => rng.range_f64(HIST_LO - 1.0, HIST_LO),
+            3 => rng.range_f64(HIST_HI, HIST_HI + 1.0),
+            _ => rng.range_f64(HIST_LO, HIST_HI),
+        })
+        .collect()
+}
 
 /// Builds a recorder with random contents (possibly leaving some
 /// channels untouched, so name sets differ between recorders).
@@ -46,20 +65,11 @@ fn random_recorder(rng: &mut Rng) -> MemoryRecorder {
     }
     for name in HIST_NAMES {
         if !rng.next_u64().is_multiple_of(3) {
-            let mut counts = vec![0u64; HIST_BINS];
-            for c in counts.iter_mut() {
-                *c = rng.next_u64() % 50;
+            let mut h = LinearHistogram::new(HIST_LO, HIST_HI, HIST_BINS);
+            for v in random_samples(rng) {
+                h.record(v);
             }
-            rec.histogram(
-                name,
-                HistogramData {
-                    lo: HIST_LO,
-                    hi: HIST_HI,
-                    counts,
-                    under: rng.next_u64() % 5,
-                    over: rng.next_u64() % 5,
-                },
-            );
+            rec.histogram(name, &h);
         }
     }
     rec
@@ -212,4 +222,35 @@ fn merge_identity_is_neutral() {
         right.merge(&MemoryRecorder::new());
         assert_aggregates_equal(&reference, &right.snapshot(), "right identity", seed);
     }
+}
+
+#[test]
+fn split_record_then_merge_equals_one_record() {
+    let mut rng = Rng::new(0x5b11_7e4e_u64);
+    let (mut under, mut over) = (0, 0);
+    for _ in 0..64 {
+        let seed = rng.next_u64();
+        let mut case_rng = Rng::new(seed);
+        let samples = random_samples(&mut case_rng);
+        let split = (case_rng.next_u64() as usize) % (samples.len() + 1);
+        let empty = LinearHistogram::new(HIST_LO, HIST_HI, HIST_BINS);
+        let (mut whole, mut left, mut right) = (empty.clone(), empty.clone(), empty);
+        for &v in &samples {
+            whole.record(v);
+        }
+        for &v in &samples[..split] {
+            left.record(v);
+        }
+        for &v in &samples[split..] {
+            right.record(v);
+        }
+        left.merge(&right);
+        assert_eq!(left.counts(), whole.counts(), "counts (seed {seed:#x})");
+        assert_eq!(left.under(), whole.under(), "under (seed {seed:#x})");
+        assert_eq!(left.over(), whole.over(), "over (seed {seed:#x})");
+        assert_eq!(whole.total(), samples.len() as u64, "seed {seed:#x}");
+        under += whole.under();
+        over += whole.over();
+    }
+    assert!(under > 0 && over > 0, "cases must reach past both edges");
 }
