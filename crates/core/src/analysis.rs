@@ -137,23 +137,10 @@ pub fn evaluate_program_traced<R: voltctl_telemetry::Recorder, T: voltctl_trace:
     recorder: R,
     tracer: T,
 ) -> Result<(Evaluation, R, T), ControlError> {
-    let mut baseline = ControlLoop::builder(program.clone())
-        .cpu_config(setup.cpu_config.clone())
-        .power(setup.power.clone())
-        .pdn(setup.pdn.clone())
-        .build()?;
+    let (mut baseline, controlled) = build_eval_loops(program, setup)?;
     baseline.step_n(warmup + cycles);
 
-    let mut controlled = ControlLoop::builder(program.clone())
-        .cpu_config(setup.cpu_config.clone())
-        .power(setup.power.clone())
-        .pdn(setup.pdn.clone())
-        .thresholds(setup.thresholds)
-        .sensor(setup.sensor)
-        .scope(setup.scope)
-        .recorder(recorder)
-        .tracer(tracer)
-        .build()?;
+    let mut controlled = controlled.with_observers(recorder, tracer);
     controlled.step_n(warmup + cycles);
     controlled.finish_telemetry();
 
@@ -166,10 +153,11 @@ pub fn evaluate_program_traced<R: voltctl_telemetry::Recorder, T: voltctl_trace:
 }
 
 /// Builds the `(baseline, controlled)` loop pair [`evaluate_program`]
-/// would run, without running them — the entry point for batch
-/// executors ([`crate::lane::LaneLoop`]) that step many evaluations in
-/// lockstep. The loops are constructed exactly as on the scalar path
-/// (same builder calls, no recorder or tracer), so running each for
+/// runs, without running them — the one place an evaluation pair is
+/// constructed. Batch executors ([`crate::lane::LaneLoop`]) step many
+/// such pairs in lockstep; [`evaluate_program_traced`] attaches its
+/// observers to the controlled loop with
+/// [`ControlLoop::with_observers`]. Running each loop for
 /// `warmup + cycles` cycles reproduces [`evaluate_program`]'s reports
 /// bitwise.
 ///

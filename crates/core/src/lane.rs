@@ -41,9 +41,11 @@
 //!   a scalar [`ControlLoop`] while its former group runs on.
 //! * **Unsupported observers**: loops carrying a live recorder or tracer
 //!   never enter the lane path (those observers fire from the scalar
-//!   step); the engine falls back to the scalar path for such cells.
-//!   The in-memory [`LoopSample`] trace *is* supported — it lives in
-//!   the lane's own state.
+//!   step). Lanes are the only description of a sweep cell, so with
+//!   telemetry or tracing on the engine steps the same unobserved loops
+//!   one at a time instead, attaching observers with
+//!   [`ControlLoop::with_observers`]. The in-memory [`LoopSample`]
+//!   trace *is* supported — it lives in the lane's own state.
 
 use crate::loopsim::{
     cycle_draw, power_fingerprint, ControlLoop, LoopReport, LoopSample, LoopTail,

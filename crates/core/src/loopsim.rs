@@ -568,6 +568,27 @@ impl ControlLoop {
             tracer: NullTracer,
         }
     }
+
+    /// Attaches a telemetry recorder and a cycle tracer to an unobserved
+    /// loop, resolving the per-cycle metric ids as
+    /// [`ControlLoopBuilder::build`] does. Attached before the first
+    /// step, the observers see exactly what they would have seen had
+    /// the builder attached them.
+    pub fn with_observers<R: Recorder, T: Tracer>(
+        self,
+        mut recorder: R,
+        tracer: T,
+    ) -> ControlLoop<R, T> {
+        let metric_ids = LoopMetricIds::resolve(&mut recorder);
+        ControlLoop {
+            cpu: self.cpu,
+            power: self.power,
+            tail: self.tail,
+            recorder,
+            metric_ids,
+            tracer,
+        }
+    }
 }
 
 /// Maps the monitor's ground-truth band into the trace vocabulary.
@@ -976,6 +997,12 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// The nominal supply voltage.
     pub fn v_nominal(&self) -> f64 {
         self.tail.v_nominal
+    }
+
+    /// Whether the loop is controlled (built with thresholds, so it has
+    /// a sensor and a controller acting on it).
+    pub fn is_controlled(&self) -> bool {
+        self.tail.sensor.is_some()
     }
 }
 

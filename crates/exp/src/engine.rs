@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use voltctl_core::{ControlLoop, LaneLoop, LaneOutcome};
-use voltctl_telemetry::{MemoryRecorder, Recorder as _};
-use voltctl_trace::{Cause, FlightRecorder, MergedTrace};
+use voltctl_telemetry::{MemoryRecorder, Recorder};
+use voltctl_trace::{Cause, FlightRecorder, MergedTrace, NullTracer, Tracer};
 
 use crate::profile::{NullProfiler, Profiler, Span};
 use crate::scale::scaled_budget;
@@ -75,11 +75,6 @@ pub struct Ctx {
     /// flight recorder per cell; `None` (the default) costs nothing —
     /// untraced loops run with `NullTracer`, which compiles away.
     pub trace: Option<TraceSpec>,
-    /// Whether batchable scenarios may use the lane executor (the
-    /// default). `false` pins every cell to the scalar path — results
-    /// are bitwise identical either way, so this only trades speed for
-    /// per-cell backtraces and apples-to-apples scalar timing.
-    pub lanes: bool,
 }
 
 impl Default for Ctx {
@@ -90,7 +85,6 @@ impl Default for Ctx {
             telemetry: false,
             telemetry_out: crate::telemetry::default_out_dir(),
             trace: None,
-            lanes: true,
         }
     }
 }
@@ -195,10 +189,10 @@ impl CellResult {
     }
 }
 
-/// One lane a batchable scenario contributes to the engine's lane
-/// executor: a fully built closed loop plus the cycle budget it should
-/// run for (warm-up included, exactly what `sim.step_n(budget)` would get
-/// on the scalar path).
+/// One lane of a lane-described cell: a fully built closed loop plus the
+/// cycle budget it runs for (warm-up included). The lane executor steps
+/// it in lockstep with the chunk's other lanes; the default
+/// [`Scenario::run_cell`] steps it on its own with `sim.step_n(budget)`.
 #[derive(Debug)]
 pub struct BatchLane {
     /// The closed loop to step.
@@ -252,7 +246,38 @@ pub trait Scenario: Sync {
     fn cells(&self, ctx: &Ctx) -> Vec<String>;
     /// Runs one cell of the grid. Must be deterministic given
     /// `(ctx, cell)` and free of global mutable state.
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult;
+    ///
+    /// The default body serves lane-described scenarios whenever the
+    /// engine does not use the lane executor (telemetry or tracing on):
+    /// it steps each of [`batch_cell`](Scenario::batch_cell)'s loops on
+    /// its own and hands the outcomes to
+    /// [`finish_batch_cell`](Scenario::finish_batch_cell) — the same
+    /// lanes, one at a time. With `ctx.telemetry`, every controlled loop
+    /// streams into its own recorder, and those are merged into the
+    /// cell's recorder in lane order. Scenarios that are not described
+    /// by lanes override this.
+    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
+        let mut recorder = MemoryRecorder::new();
+        let outcomes = self
+            .batch_cell(ctx, cell)
+            .into_iter()
+            .map(|BatchLane { mut sim, budget }| {
+                if ctx.telemetry && sim.is_controlled() {
+                    let rec = MemoryRecorder::new().echo_warnings(true);
+                    let mut sim = sim.with_observers(rec, NullTracer);
+                    let outcome = step_lane(&mut sim, budget);
+                    sim.finish_telemetry();
+                    recorder.merge(sim.recorder());
+                    outcome
+                } else {
+                    step_lane(&mut sim, budget)
+                }
+            })
+            .collect();
+        let mut out = self.finish_batch_cell(ctx, cell, outcomes);
+        out.recorder = recorder;
+        out
+    }
     /// Assembles the report from index-ordered cell results.
     fn render(&self, ctx: &Ctx, cells: &[CellResult]) -> String;
     /// Whether cells attach a flight recorder when `ctx.trace` is set.
@@ -260,35 +285,45 @@ pub trait Scenario: Sync {
     fn trace_aware(&self) -> bool {
         false
     }
-    /// Whether this scenario opts into the lane executor: cells that can
-    /// express themselves as a flat list of [`BatchLane`]s are stepped
-    /// in lockstep by a shared [`LaneLoop`], amortizing CPU and power
-    /// work across lanes that share identical state. The engine only
-    /// uses the lane path when telemetry and tracing are off — lane
-    /// results are bitwise identical to the scalar path, so reports
-    /// don't change, but per-cycle telemetry streams are scalar-only.
+    /// Whether the scenario is described by lanes
+    /// ([`batch_cell`](Scenario::batch_cell) +
+    /// [`finish_batch_cell`](Scenario::finish_batch_cell)). With
+    /// telemetry and tracing off, the engine then steps each chunk of
+    /// cells' lanes in lockstep in a shared [`LaneLoop`], amortizing CPU
+    /// and power work across lanes that share identical state; otherwise
+    /// the default [`run_cell`](Scenario::run_cell) steps the same lanes
+    /// one at a time. Lane outcomes are bitwise identical either way, so
+    /// the choice never shows in a report.
     fn batchable(&self) -> bool {
         false
     }
-    /// Produces this cell's lanes for the lane executor, or `None` to
-    /// run the cell on the scalar path ([`run_cell`](Scenario::run_cell))
-    /// instead — the escape hatch for cells with nothing to simulate
-    /// (e.g. configurations the threshold solver rejects).
-    fn batch_cell(&self, _ctx: &Ctx, _cell: usize) -> Option<Vec<BatchLane>> {
-        None
+    /// The cell's lanes, in the order
+    /// [`finish_batch_cell`](Scenario::finish_batch_cell) expects their
+    /// outcomes. A cell with nothing to simulate (e.g. a configuration
+    /// the threshold solver rejects) has zero lanes.
+    fn batch_cell(&self, _ctx: &Ctx, _cell: usize) -> Vec<BatchLane> {
+        Vec::new()
     }
     /// Assembles the cell's [`CellResult`] from the finished lanes'
     /// outcomes, in the order [`batch_cell`](Scenario::batch_cell)
-    /// produced them. Must yield a result byte-identical to
-    /// [`run_cell`](Scenario::run_cell) (lane outcomes are bitwise equal
-    /// to scalar runs, so this is a pure reshaping).
+    /// produced them — a pure reshaping, whichever path stepped them.
     fn finish_batch_cell(
         &self,
         _ctx: &Ctx,
         _cell: usize,
         _outcomes: Vec<LaneOutcome>,
     ) -> CellResult {
-        unreachable!("scenarios that produce batch lanes must implement finish_batch_cell")
+        unreachable!("a scenario must override run_cell or implement finish_batch_cell")
+    }
+}
+
+/// Steps one lane's loop on its own for its budget and materializes the
+/// outcome the lane executor would report for it.
+fn step_lane<R: Recorder, T: Tracer>(sim: &mut ControlLoop<R, T>, budget: u64) -> LaneOutcome {
+    sim.step_n(budget);
+    LaneOutcome {
+        report: sim.report(),
+        arch_digest: sim.arch_digest(),
     }
 }
 
@@ -377,10 +412,12 @@ pub fn run_cells_profiled<P: Profiler>(
     let n = range.len();
     let jobs = jobs.max(1).min(n.max(1));
 
-    // Lane-batched execution when the scenario opts in and nothing
-    // forces the scalar path. Lane results are bitwise identical to
-    // scalar runs, so the choice is invisible in every report.
-    if ctx.lanes && scenario.batchable() && !ctx.telemetry && ctx.trace.is_none() {
+    // Lane-batched execution unless an observer is on: recorders and
+    // tracers fire from the per-loop step, so those runs step each lane
+    // on its own through the default `run_cell`. Lane outcomes are
+    // bitwise identical either way, so the choice is invisible in every
+    // report.
+    if scenario.batchable() && !ctx.telemetry && ctx.trace.is_none() {
         return run_cells_batched(scenario, ctx, jobs, range, &labels, profiler);
     }
 
@@ -418,29 +455,15 @@ pub fn run_cells_profiled<P: Profiler>(
         });
     }
 
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(k, slot)| {
-            slot.into_inner()
-                .expect("cell slot poisoned")
-                .unwrap_or_else(|| {
-                    panic!(
-                        "cell {} ({:?}) produced no result",
-                        base + k,
-                        labels[base + k]
-                    )
-                })
-        })
-        .collect()
+    collect_slots(slots, base, &labels)
 }
 
 /// The lane-batched back end of [`run_cells_profiled`]: cells are handed
 /// out to workers in contiguous chunks; each chunk's lanes (from
 /// [`Scenario::batch_cell`]) are gathered into one [`LaneLoop`] and
 /// stepped in lockstep, then scattered back through
-/// [`Scenario::finish_batch_cell`]. Cells that decline batching run on
-/// the scalar path inside the same work queue.
+/// [`Scenario::finish_batch_cell`]. Zero-lane cells (nothing to
+/// simulate) are finished in the same scatter.
 ///
 /// Chunking multiple cells into one `LaneLoop` is where the speedup
 /// comes from, twice over:
@@ -480,102 +503,93 @@ fn run_cells_batched<P: Profiler>(
     let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    let worker = |j: usize| {
-        let job = format!("job{j}");
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= n_chunks {
-                break;
-            }
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let chunk_label = format!("chunk{c}");
-
-            // Gather: build every batchable cell's lanes, dedupe exact
-            // replicas, and gather the survivors into one lane loop.
-            // `origin[i]` maps logical lane `i` to its simulated
-            // representative.
-            let span = Span::start(profiler);
-            let mut sims = Vec::new();
-            let mut budgets = Vec::new();
-            let mut origin = Vec::new();
-            let mut seen: Vec<(u64, Vec<u8>, usize)> = Vec::new(); // (budget-key, bytes, lane)
-            let mut cell_spans = Vec::new(); // (slot, first lane, lane count)
-            let mut scalar_cells = Vec::new();
-            for k in lo..hi {
-                match scenario.batch_cell(ctx, base + k) {
-                    Some(lanes) => {
-                        let start = origin.len();
-                        for lane in lanes {
-                            let bytes = lane.sim.save();
-                            match seen
-                                .iter()
-                                .find(|(b, s, _)| *b == lane.budget && *s == bytes)
-                            {
-                                Some(&(_, _, dup)) => origin.push(dup),
-                                None => {
-                                    seen.push((lane.budget, bytes, sims.len()));
-                                    origin.push(sims.len());
-                                    sims.push(lane.sim);
-                                    budgets.push(lane.budget);
-                                }
-                            }
-                        }
-                        cell_spans.push((k, start, origin.len() - start));
-                    }
-                    None => scalar_cells.push(k),
-                }
-            }
-            let mut lanes = (!sims.is_empty()).then(|| LaneLoop::gather(sims, &budgets));
-            span.stop(profiler, &["exp", id, "lanes", "gather", &chunk_label]);
-
-            // Step: run every lane in the chunk to completion.
-            if let Some(lanes) = lanes.as_mut() {
-                let span = Span::start(profiler);
-                lanes.run();
-                span.stop(profiler, &["exp", id, "lanes", "step", &chunk_label]);
-            }
-
-            // Scatter: reshape each cell's lane outcomes into its result.
-            if let Some(lanes) = lanes.as_ref() {
-                let span = Span::start(profiler);
-                for &(k, start, count) in &cell_spans {
-                    let outcomes: Vec<LaneOutcome> = origin[start..start + count]
-                        .iter()
-                        .map(|&l| {
-                            lanes
-                                .outcome(l)
-                                .expect("every lane has exited after run()")
-                                .clone()
-                        })
-                        .collect();
-                    let result = scenario.finish_batch_cell(ctx, base + k, outcomes);
-                    *slots[k].lock().expect("cell slot poisoned") = Some(result);
-                }
-                span.stop(profiler, &["exp", id, "lanes", "scatter", &chunk_label]);
-            }
-
-            // Scalar fallback for cells that declined batching.
-            for &k in &scalar_cells {
-                let span = Span::start(profiler);
-                let result = scenario.run_cell(ctx, base + k);
-                span.stop(profiler, &["exp", id, "grid", &job, &labels[base + k]]);
-                *slots[k].lock().expect("cell slot poisoned") = Some(result);
-            }
+    let worker = || loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        if c >= n_chunks {
+            break;
         }
+        let lo = c * chunk;
+        let hi = (lo + chunk).min(n);
+        let chunk_label = format!("chunk{c}");
+
+        // Gather: build every cell's lanes, dedupe exact replicas, and
+        // gather the survivors into one lane loop. `origin[i]` maps
+        // logical lane `i` to its simulated representative.
+        let span = Span::start(profiler);
+        let mut sims = Vec::new();
+        let mut budgets = Vec::new();
+        let mut origin = Vec::new();
+        let mut seen: Vec<(u64, Vec<u8>, usize)> = Vec::new(); // (budget-key, bytes, lane)
+        let mut cell_spans = Vec::new(); // (slot, first lane, lane count)
+        for k in lo..hi {
+            let start = origin.len();
+            for lane in scenario.batch_cell(ctx, base + k) {
+                let bytes = lane.sim.save();
+                match seen
+                    .iter()
+                    .find(|(b, s, _)| *b == lane.budget && *s == bytes)
+                {
+                    Some(&(_, _, dup)) => origin.push(dup),
+                    None => {
+                        seen.push((lane.budget, bytes, sims.len()));
+                        origin.push(sims.len());
+                        sims.push(lane.sim);
+                        budgets.push(lane.budget);
+                    }
+                }
+            }
+            cell_spans.push((k, start, origin.len() - start));
+        }
+        let mut lanes = LaneLoop::gather(sims, &budgets);
+        span.stop(profiler, &["exp", id, "lanes", "gather", &chunk_label]);
+
+        // Step: run every lane in the chunk to completion.
+        let span = Span::start(profiler);
+        lanes.run();
+        span.stop(profiler, &["exp", id, "lanes", "step", &chunk_label]);
+
+        // Scatter: reshape each cell's lane outcomes (none for a
+        // zero-lane cell) into its result.
+        let span = Span::start(profiler);
+        for &(k, start, count) in &cell_spans {
+            let outcomes: Vec<LaneOutcome> = origin[start..start + count]
+                .iter()
+                .map(|&l| {
+                    lanes
+                        .outcome(l)
+                        .expect("every lane has exited after run()")
+                        .clone()
+                })
+                .collect();
+            let result = scenario.finish_batch_cell(ctx, base + k, outcomes);
+            *slots[k].lock().expect("cell slot poisoned") = Some(result);
+        }
+        span.stop(profiler, &["exp", id, "lanes", "scatter", &chunk_label]);
     };
 
     if jobs == 1 {
-        worker(0);
+        worker();
     } else {
         std::thread::scope(|s| {
-            let worker = &worker;
-            for j in 0..jobs {
-                s.spawn(move || worker(j));
+            for _ in 0..jobs {
+                s.spawn(worker);
             }
         });
     }
 
+    collect_slots(slots, base, labels)
+}
+
+/// Unwraps a run's result slots in grid order.
+///
+/// # Panics
+///
+/// Panics when a cell produced no result.
+fn collect_slots(
+    slots: Vec<Mutex<Option<CellResult>>>,
+    base: usize,
+    labels: &[String],
+) -> Vec<CellResult> {
     slots
         .into_iter()
         .enumerate()

@@ -325,28 +325,85 @@ fn sweep_rows_unstable(
     rows
 }
 
-/// Assembles sweep rows from per-workload evaluations (`evals` holds one
-/// [`Evaluation`] per workload, then the stressmark's, in order). Shared
-/// by the scalar and lane-batched paths so the aggregate arithmetic —
-/// and therefore every reported digit — is identical on both.
-fn sweep_rows(
+/// Builds the lane list for one sweep point — a baseline/controlled loop
+/// pair per workload (workloads in order, stressmark last), each run for
+/// the workload's warm-up plus `cycles`. Unstable points (no safe
+/// thresholds) have nothing to simulate and get zero lanes.
+///
+/// Adjacent lanes of the same workload start with byte-identical CPU
+/// state, so the lane executor shares one CPU step across them until the
+/// controlled lane's first intervention.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep_batch(
+    ctx: &Ctx,
     workloads: &[Workload],
     stress: &Workload,
     scope: ActuationScope,
     delay: u32,
     error_mv: f64,
-    evals: &[Evaluation],
+    percent: f64,
+    cycles: u64,
+) -> Vec<BatchLane> {
+    let Some((thresholds, sensor)) = sweep_config(scope, delay, error_mv, percent) else {
+        return Vec::new();
+    };
+    let setup = EvalSetup {
+        cpu_config: cpu_config(),
+        power: power_model(),
+        pdn: pdn_at(percent),
+        thresholds,
+        sensor,
+        scope,
+    };
+    let mut lanes = Vec::new();
+    for w in workloads.iter().chain(std::iter::once(stress)) {
+        let budget = ctx.warmup(w.warmup_cycles) + cycles;
+        let (baseline, controlled) = build_eval_loops(&w.program, &setup)
+            .expect("evaluation constructs for solved thresholds");
+        lanes.push(BatchLane {
+            sim: baseline,
+            budget,
+        });
+        lanes.push(BatchLane {
+            sim: controlled,
+            budget,
+        });
+    }
+    lanes
+}
+
+/// Pairs the finished lane outcomes from [`sweep_batch`] back into
+/// evaluations and assembles one row per workload, a `"SPEC mean"`
+/// aggregate over `workloads`, then the stressmark's row. A zero-lane
+/// (unstable) point yields rows flagged `unstable` with NaN metrics.
+pub fn sweep_finish(
+    workloads: &[Workload],
+    stress: &Workload,
+    scope: ActuationScope,
+    delay: u32,
+    error_mv: f64,
+    outcomes: &[voltctl_core::LaneOutcome],
 ) -> Vec<SweepRow> {
+    if outcomes.is_empty() {
+        return sweep_rows_unstable(workloads, stress, scope, delay, error_mv);
+    }
     assert_eq!(
-        evals.len(),
-        workloads.len() + 1,
-        "one evaluation per workload plus the stressmark"
+        outcomes.len(),
+        2 * (workloads.len() + 1),
+        "a baseline/controlled outcome pair per workload plus the stressmark"
     );
+    let evals: Vec<Evaluation> = outcomes
+        .chunks(2)
+        .map(|pair| Evaluation {
+            baseline: pair[0].report.clone(),
+            controlled: pair[1].report.clone(),
+        })
+        .collect();
     let make_row = sweep_row_maker(scope, delay, error_mv);
     let mut rows = Vec::new();
     let mut sum_perf = 0.0;
     let mut sum_energy = 0.0;
-    for (w, e) in workloads.iter().zip(evals) {
+    for (w, e) in workloads.iter().zip(&evals) {
         sum_perf += e.perf_loss();
         sum_energy += e.energy_increase();
         rows.push(make_row(
@@ -377,131 +434,6 @@ fn sweep_rows(
         false,
     ));
     rows
-}
-
-/// Evaluates `workloads` (plus the stressmark) at one controller
-/// configuration, returning one row per workload plus a `"SPEC mean"`
-/// aggregate over `workloads`.
-///
-/// Unstable points (no safe thresholds) produce rows flagged `unstable`
-/// with NaN metrics.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_point(
-    ctx: &Ctx,
-    workloads: &[Workload],
-    stress: &Workload,
-    scope: ActuationScope,
-    delay: u32,
-    error_mv: f64,
-    percent: f64,
-    cycles: u64,
-    mut telem: Option<&mut MemoryRecorder>,
-) -> Vec<SweepRow> {
-    let Some((thresholds, sensor)) = sweep_config(scope, delay, error_mv, percent) else {
-        return sweep_rows_unstable(workloads, stress, scope, delay, error_mv);
-    };
-
-    let mut evals = Vec::new();
-    for w in workloads {
-        evals.push(
-            evaluate(
-                w,
-                scope,
-                thresholds,
-                sensor,
-                percent,
-                ctx.warmup(w.warmup_cycles),
-                cycles,
-                telem.as_deref_mut(),
-            )
-            .expect("evaluation constructs for solved thresholds"),
-        );
-    }
-    evals.push(
-        evaluate(
-            stress,
-            scope,
-            thresholds,
-            sensor,
-            percent,
-            ctx.warmup(stress.warmup_cycles),
-            cycles,
-            telem,
-        )
-        .expect("stressmark evaluation constructs"),
-    );
-    sweep_rows(workloads, stress, scope, delay, error_mv, &evals)
-}
-
-/// Builds the lane list for one sweep point — a baseline/controlled loop
-/// pair per workload (workloads in order, stressmark last), each with the
-/// budget its scalar run would get. Returns `None` for unstable points,
-/// which fall back to the scalar path (no simulation happens there — the
-/// rows are immediate).
-///
-/// Adjacent lanes of the same workload start with byte-identical CPU
-/// state, so the lane executor shares one CPU step across them until the
-/// controlled lane's first intervention.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_batch(
-    ctx: &Ctx,
-    workloads: &[Workload],
-    stress: &Workload,
-    scope: ActuationScope,
-    delay: u32,
-    error_mv: f64,
-    percent: f64,
-    cycles: u64,
-) -> Option<Vec<BatchLane>> {
-    let (thresholds, sensor) = sweep_config(scope, delay, error_mv, percent)?;
-    let setup = EvalSetup {
-        cpu_config: cpu_config(),
-        power: power_model(),
-        pdn: pdn_at(percent),
-        thresholds,
-        sensor,
-        scope,
-    };
-    let mut lanes = Vec::new();
-    for w in workloads.iter().chain(std::iter::once(stress)) {
-        let budget = ctx.warmup(w.warmup_cycles) + cycles;
-        let (baseline, controlled) = build_eval_loops(&w.program, &setup)
-            .expect("evaluation constructs for solved thresholds");
-        lanes.push(BatchLane {
-            sim: baseline,
-            budget,
-        });
-        lanes.push(BatchLane {
-            sim: controlled,
-            budget,
-        });
-    }
-    Some(lanes)
-}
-
-/// Pairs the finished lane outcomes from [`sweep_batch`] back into
-/// evaluations and assembles the same rows [`sweep_point`] produces.
-pub fn sweep_finish(
-    workloads: &[Workload],
-    stress: &Workload,
-    scope: ActuationScope,
-    delay: u32,
-    error_mv: f64,
-    outcomes: &[voltctl_core::LaneOutcome],
-) -> Vec<SweepRow> {
-    assert_eq!(
-        outcomes.len(),
-        2 * (workloads.len() + 1),
-        "a baseline/controlled outcome pair per workload plus the stressmark"
-    );
-    let evals: Vec<Evaluation> = outcomes
-        .chunks(2)
-        .map(|pair| Evaluation {
-            baseline: pair[0].report.clone(),
-            controlled: pair[1].report.clone(),
-        })
-        .collect();
-    sweep_rows(workloads, stress, scope, delay, error_mv, &evals)
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub use engine::{
 pub use golden::{GoldenOpts, GoldenOutcome, Verdict};
 pub use harness::{
     cpu_config, current_trace, delta_i, evaluate, pdn_at, power_model, solve_cache_stats,
-    solve_for, spec_suite, sweep_point, tuned_stressmark, variable_eight, SweepRow,
+    solve_for, spec_suite, tuned_stressmark, variable_eight, SweepRow,
 };
 pub use manifest::Manifest;
 pub use profile::{NullProfiler, Profiler, SelfProfiler, Span};

@@ -43,8 +43,6 @@ OPTIONS:
     --scale <X>           cycle-budget scale factor (default: 1.0,
                           or VOLTCTL_SCALE)
     --smoke               tiny budgets, narrative checks off (CI plumbing)
-    --no-lanes            pin every cell to the scalar path (results are
-                          bitwise identical; for timing and backtraces)
     --trace               attach the emergency flight recorder and export
                           trace artifacts after each scenario
     --telemetry <MODE>    off | summary | jsonl | csv
@@ -170,7 +168,6 @@ fn parse_run_args(args: &[String]) -> RunArgs {
         match arg.split('=').next().unwrap_or(arg.as_str()) {
             "--all" => out.all = true,
             "--smoke" => out.ctx.smoke = true,
-            "--no-lanes" => out.ctx.lanes = false,
             "--trace" => out.ctx.trace = Some(TraceSpec::default()),
             "--jobs" => {
                 let raw = flag_value("--jobs");

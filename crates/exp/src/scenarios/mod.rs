@@ -28,11 +28,11 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &stressmark::Fig11ControllerTrace,
         &suite::Table2Emergencies,
         &sweeps::Table3Thresholds,
-        &sweeps::Fig14SensorDelayPerf,
-        &sweeps::Fig15SensorDelayEnergy,
-        &sweeps::Fig16SensorError,
-        &sweeps::Fig17ActuatorPerf,
-        &sweeps::Fig18ActuatorEnergy,
+        &sweeps::FIG14_SENSOR_DELAY_PERF,
+        &sweeps::FIG15_SENSOR_DELAY_ENERGY,
+        &sweeps::FIG16_SENSOR_ERROR,
+        &sweeps::FIG17_ACTUATOR_PERF,
+        &sweeps::FIG18_ACTUATOR_ENERGY,
         &ablations::AblationPid,
         &ablations::AblationGrid,
         &ablations::AblationAsymmetric,

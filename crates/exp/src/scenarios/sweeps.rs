@@ -2,16 +2,19 @@
 //! sensor/actuator sensitivity studies (Figures 14–18). Each controller
 //! configuration (delay, error, scope×delay) is one grid cell, so the
 //! full-stack simulations fan out across workers.
+//!
+//! Figures 14–18 are one [`SensitivitySweep`] type: a cell is the lane
+//! list of a baseline/controlled pair per workload at one grid point
+//! ([`sweep_batch`]), and each figure supplies only its grid, its row
+//! shape and its render.
 
 use std::fmt::Write as _;
 use voltctl_core::prelude::ActuationScope;
 use voltctl_core::LaneOutcome;
-use voltctl_telemetry::MemoryRecorder;
-use voltctl_workloads::Workload;
 
 use crate::engine::{BatchLane, CellResult, Ctx, Runtime, Scenario};
 use crate::harness::{
-    solve_for, sweep_batch, sweep_finish, sweep_point, tuned_stressmark, variable_eight, SweepRow,
+    solve_for, sweep_batch, sweep_finish, tuned_stressmark, variable_eight, SweepRow,
 };
 use crate::report::{pct, TextTable};
 
@@ -99,64 +102,136 @@ impl Scenario for Table3Thresholds {
     }
 }
 
-/// Runs one sweep configuration inside a cell, returning the `SPEC mean`
-/// and stressmark rows plus the cell's telemetry.
-fn sweep_cell(
-    ctx: &Ctx,
-    workloads: &[Workload],
-    stress: &Workload,
+/// One point of a sensitivity grid.
+#[derive(Debug, Clone, Copy)]
+struct SweepPoint {
     scope: ActuationScope,
     delay: u32,
     error_mv: f64,
-    cycles: u64,
-) -> (SweepRow, SweepRow, MemoryRecorder) {
-    let mut rec = ctx.telemetry.then(MemoryRecorder::new);
-    let rows = sweep_point(
-        ctx,
-        workloads,
-        stress,
-        scope,
-        delay,
-        error_mv,
-        2.0,
-        cycles,
-        rec.as_mut(),
-    );
-    let (spec, sm) = pick_summary_rows(&rows, &stress.name);
-    (spec, sm, rec.unwrap_or_default())
 }
 
-/// Extracts the `SPEC mean` and stressmark rows from a sweep point's
-/// row list.
-fn pick_summary_rows(rows: &[SweepRow], stress_name: &str) -> (SweepRow, SweepRow) {
-    let spec = rows
-        .iter()
-        .find(|r| r.label == "SPEC mean")
-        .expect("aggregate present")
-        .clone();
-    let sm = rows
-        .iter()
-        .find(|r| r.label == stress_name)
-        .expect("stressmark present")
-        .clone();
-    (spec, sm)
+/// The grids of Figures 14–18, each walked in report order.
+#[derive(Debug, Clone, Copy)]
+enum Grid {
+    /// Sensor delay 0..=6, ideal actuator, no error (Figures 14, 15).
+    Delay,
+    /// Sensor error over [`ERRORS_MV`], ideal actuator, delay 1
+    /// (Figure 16).
+    Error,
+    /// [`SCOPES`] × delays `0..DELAYS_PER_SCOPE`, scope-major, no error
+    /// (Figures 17, 18).
+    ScopeDelay,
 }
 
-/// The lane-batched half of [`sweep_cell`]: reshapes finished lane
-/// outcomes (from a [`sweep_batch`] lane list) into the same summary
-/// rows. The recorder equivalent is [`MemoryRecorder::default`] — the
-/// engine only takes the lane path with telemetry off, where the scalar
-/// path's recorder is the default too.
-fn sweep_cell_finish(
-    workloads: &[Workload],
-    stress: &Workload,
-    scope: ActuationScope,
-    delay: u32,
-    error_mv: f64,
-    outcomes: &[LaneOutcome],
-) -> (SweepRow, SweepRow) {
-    let rows = sweep_finish(workloads, stress, scope, delay, error_mv, outcomes);
-    pick_summary_rows(&rows, &stress.name)
+const ERRORS_MV: [f64; 5] = [0.0, 10.0, 15.0, 20.0, 25.0];
+
+/// The actuation scopes of Figures 17 and 18, in report order.
+const SCOPES: [ActuationScope; 3] = [
+    ActuationScope::Fu,
+    ActuationScope::FuDl1,
+    ActuationScope::FuDl1Il1,
+];
+const DELAYS_PER_SCOPE: usize = 6;
+
+impl Grid {
+    fn len(self) -> usize {
+        match self {
+            Grid::Delay => 7,
+            Grid::Error => ERRORS_MV.len(),
+            Grid::ScopeDelay => SCOPES.len() * DELAYS_PER_SCOPE,
+        }
+    }
+
+    fn point(self, cell: usize) -> SweepPoint {
+        let (scope, delay, error_mv) = match self {
+            Grid::Delay => (ActuationScope::Ideal, cell as u32, 0.0),
+            Grid::Error => (ActuationScope::Ideal, 1, ERRORS_MV[cell]),
+            Grid::ScopeDelay => (
+                SCOPES[cell / DELAYS_PER_SCOPE],
+                (cell % DELAYS_PER_SCOPE) as u32,
+                0.0,
+            ),
+        };
+        SweepPoint {
+            scope,
+            delay,
+            error_mv,
+        }
+    }
+
+    fn label(self, cell: usize) -> String {
+        let p = self.point(cell);
+        match self {
+            Grid::Delay => format!("delay {}", p.delay),
+            Grid::Error => format!("{:.0} mV", p.error_mv),
+            Grid::ScopeDelay => format!("{} delay {}", p.scope.name(), p.delay),
+        }
+    }
+}
+
+/// A table row from a point and its `SPEC mean` and stressmark rows.
+type RowShape = fn(SweepPoint, &SweepRow, &SweepRow) -> Vec<String>;
+
+/// A §5 sensitivity study (Figures 14–18): the variable-eight SPEC
+/// subset plus the tuned stressmark, controlled vs. uncontrolled at
+/// 200% impedance, at every point of a [`Grid`].
+pub struct SensitivitySweep {
+    id: &'static str,
+    title: &'static str,
+    grid: Grid,
+    row: RowShape,
+    render: fn(&Ctx, &[CellResult]) -> String,
+}
+
+impl Scenario for SensitivitySweep {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+    fn title(&self) -> &'static str {
+        self.title
+    }
+    fn runtime(&self) -> Runtime {
+        Runtime::Minutes
+    }
+    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
+        (0..self.grid.len()).map(|c| self.grid.label(c)).collect()
+    }
+    fn render(&self, ctx: &Ctx, cells: &[CellResult]) -> String {
+        (self.render)(ctx, cells)
+    }
+    fn batchable(&self) -> bool {
+        true
+    }
+    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Vec<BatchLane> {
+        let p = self.grid.point(cell);
+        sweep_batch(
+            ctx,
+            &variable_eight(),
+            &tuned_stressmark(),
+            p.scope,
+            p.delay,
+            p.error_mv,
+            2.0,
+            ctx.budget(100_000),
+        )
+    }
+    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
+        let p = self.grid.point(cell);
+        let rows = sweep_finish(
+            &variable_eight(),
+            &tuned_stressmark(),
+            p.scope,
+            p.delay,
+            p.error_mv,
+            &outcomes,
+        );
+        let [.., spec, sm] = rows.as_slice() else {
+            unreachable!("sweep rows end with the SPEC mean and the stressmark")
+        };
+        let mut out = CellResult::new(self.grid.label(cell));
+        out.row = (self.row)(p, spec, sm);
+        out
+    }
 }
 
 /// Figure 14: impact of sensor delay on performance (ideal actuator).
@@ -164,64 +239,12 @@ fn sweep_cell_finish(
 /// The paper's claim: SPEC barely notices the controller at any delay,
 /// while the stressmark — contrived to live at the controller's worst
 /// case — degrades visibly as delay grows.
-pub struct Fig14SensorDelayPerf;
-
-impl Scenario for Fig14SensorDelayPerf {
-    fn id(&self) -> &'static str {
-        "fig14_sensor_delay_perf"
-    }
-    fn title(&self) -> &'static str {
-        "sensor delay vs performance (ideal actuator)"
-    }
-    fn runtime(&self) -> Runtime {
-        Runtime::Minutes
-    }
-    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-        (0..=6u32).map(|d| format!("delay {d}")).collect()
-    }
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
-        let delay = cell as u32;
-        let (spec, sm, rec) = sweep_cell(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            delay,
-            0.0,
-            ctx.budget(100_000),
-        );
-        let mut out = fig14_result(delay, &spec, &sm);
-        out.recorder = rec;
-        out
-    }
-    fn batchable(&self) -> bool {
-        true
-    }
-    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Option<Vec<BatchLane>> {
-        sweep_batch(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            cell as u32,
-            0.0,
-            2.0,
-            ctx.budget(100_000),
-        )
-    }
-    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
-        let delay = cell as u32;
-        let (spec, sm) = sweep_cell_finish(
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            delay,
-            0.0,
-            &outcomes,
-        );
-        fig14_result(delay, &spec, &sm)
-    }
-    fn render(&self, ctx: &Ctx, cells: &[CellResult]) -> String {
+pub static FIG14_SENSOR_DELAY_PERF: SensitivitySweep = SensitivitySweep {
+    id: "fig14_sensor_delay_perf",
+    title: "sensor delay vs performance (ideal actuator)",
+    grid: Grid::Delay,
+    row: |p, spec, sm| vec![p.delay.to_string(), pct(spec.perf_loss), pct(sm.perf_loss)],
+    render: |ctx, cells| {
         let cycles = ctx.budget(100_000);
         let mut s = String::new();
         writeln!(
@@ -245,79 +268,26 @@ impl Scenario for Fig14SensorDelayPerf {
         )
         .unwrap();
         s
-    }
-}
-
-/// Figure 14's cell shape, shared by the scalar and lane-batched paths.
-fn fig14_result(delay: u32, spec: &SweepRow, sm: &SweepRow) -> CellResult {
-    let mut out = CellResult::new(format!("delay {delay}"));
-    out.row = vec![delay.to_string(), pct(spec.perf_loss), pct(sm.perf_loss)];
-    out
-}
+    },
+};
 
 /// Figure 15: impact of sensor delay on energy (ideal actuator).
 ///
 /// Energy overhead comes from two sides: stall-induced longer execution
 /// (undershoot gating) and phantom-firing power (overshoot response).
 /// SPEC stays near zero; the stressmark pays more as delay grows.
-pub struct Fig15SensorDelayEnergy;
-
-impl Scenario for Fig15SensorDelayEnergy {
-    fn id(&self) -> &'static str {
-        "fig15_sensor_delay_energy"
-    }
-    fn title(&self) -> &'static str {
-        "sensor delay vs energy (ideal actuator)"
-    }
-    fn runtime(&self) -> Runtime {
-        Runtime::Minutes
-    }
-    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-        (0..=6u32).map(|d| format!("delay {d}")).collect()
-    }
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
-        let delay = cell as u32;
-        let (spec, sm, rec) = sweep_cell(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            delay,
-            0.0,
-            ctx.budget(100_000),
-        );
-        let mut out = fig15_result(delay, &spec, &sm);
-        out.recorder = rec;
-        out
-    }
-    fn batchable(&self) -> bool {
-        true
-    }
-    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Option<Vec<BatchLane>> {
-        sweep_batch(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            cell as u32,
-            0.0,
-            2.0,
-            ctx.budget(100_000),
-        )
-    }
-    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
-        let delay = cell as u32;
-        let (spec, sm) = sweep_cell_finish(
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            delay,
-            0.0,
-            &outcomes,
-        );
-        fig15_result(delay, &spec, &sm)
-    }
-    fn render(&self, _ctx: &Ctx, cells: &[CellResult]) -> String {
+pub static FIG15_SENSOR_DELAY_ENERGY: SensitivitySweep = SensitivitySweep {
+    id: "fig15_sensor_delay_energy",
+    title: "sensor delay vs energy (ideal actuator)",
+    grid: Grid::Delay,
+    row: |p, spec, sm| {
+        vec![
+            p.delay.to_string(),
+            pct(spec.energy_increase),
+            pct(sm.energy_increase),
+        ]
+    },
+    render: |_ctx, cells| {
         let mut s = String::new();
         writeln!(
             s,
@@ -339,85 +309,28 @@ impl Scenario for Fig15SensorDelayEnergy {
         )
         .unwrap();
         s
-    }
-}
-
-/// Figure 15's cell shape, shared by the scalar and lane-batched paths.
-fn fig15_result(delay: u32, spec: &SweepRow, sm: &SweepRow) -> CellResult {
-    let mut out = CellResult::new(format!("delay {delay}"));
-    out.row = vec![
-        delay.to_string(),
-        pct(spec.energy_increase),
-        pct(sm.energy_increase),
-    ];
-    out
-}
+    },
+};
 
 /// Figure 16: impact of sensor error on performance and energy.
 ///
 /// Error is compensated by tightening the thresholds (§4.5), shrinking
 /// the operating window: small errors (<15 mV) are nearly free; larger
 /// errors cost increasingly more performance and energy.
-pub struct Fig16SensorError;
-
-const ERRORS_MV: [f64; 5] = [0.0, 10.0, 15.0, 20.0, 25.0];
-
-impl Scenario for Fig16SensorError {
-    fn id(&self) -> &'static str {
-        "fig16_sensor_error"
-    }
-    fn title(&self) -> &'static str {
-        "sensor error vs performance and energy"
-    }
-    fn runtime(&self) -> Runtime {
-        Runtime::Minutes
-    }
-    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-        ERRORS_MV.iter().map(|e| format!("{e:.0} mV")).collect()
-    }
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
-        let error_mv = ERRORS_MV[cell];
-        let (spec, sm, rec) = sweep_cell(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            1,
-            error_mv,
-            ctx.budget(100_000),
-        );
-        let mut out = fig16_result(error_mv, &spec, &sm);
-        out.recorder = rec;
-        out
-    }
-    fn batchable(&self) -> bool {
-        true
-    }
-    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Option<Vec<BatchLane>> {
-        sweep_batch(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            1,
-            ERRORS_MV[cell],
-            2.0,
-            ctx.budget(100_000),
-        )
-    }
-    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
-        let error_mv = ERRORS_MV[cell];
-        let (spec, sm) = sweep_cell_finish(
-            &variable_eight(),
-            &tuned_stressmark(),
-            ActuationScope::Ideal,
-            1,
-            error_mv,
-            &outcomes,
-        );
-        fig16_result(error_mv, &spec, &sm)
-    }
-    fn render(&self, _ctx: &Ctx, cells: &[CellResult]) -> String {
+pub static FIG16_SENSOR_ERROR: SensitivitySweep = SensitivitySweep {
+    id: "fig16_sensor_error",
+    title: "sensor error vs performance and energy",
+    grid: Grid::Error,
+    row: |p, spec, sm| {
+        vec![
+            format!("{:.0}", p.error_mv),
+            pct(spec.perf_loss),
+            pct(spec.energy_increase),
+            pct(sm.perf_loss),
+            pct(sm.energy_increase),
+        ]
+    },
+    render: |_ctx, cells| {
         let mut s = String::new();
         writeln!(s, "== Figure 16: sensor error vs performance and energy ==").unwrap();
         writeln!(s, "   (ideal actuator, sensor delay 1, 200% impedance)\n").unwrap();
@@ -438,44 +351,8 @@ impl Scenario for Fig16SensorError {
         )
         .unwrap();
         s
-    }
-}
-
-/// Figure 16's cell shape, shared by the scalar and lane-batched paths.
-fn fig16_result(error_mv: f64, spec: &SweepRow, sm: &SweepRow) -> CellResult {
-    let mut out = CellResult::new(format!("{error_mv:.0} mV"));
-    out.row = vec![
-        format!("{error_mv:.0}"),
-        pct(spec.perf_loss),
-        pct(spec.energy_increase),
-        pct(sm.perf_loss),
-        pct(sm.energy_increase),
-    ];
-    out
-}
-
-/// The scope grid shared by Figures 17 and 18 (scope-major, delays
-/// 0..=5 within each scope).
-const SCOPES: [ActuationScope; 3] = [
-    ActuationScope::Fu,
-    ActuationScope::FuDl1,
-    ActuationScope::FuDl1Il1,
-];
-const DELAYS_PER_SCOPE: usize = 6;
-
-fn scope_grid_cells() -> Vec<String> {
-    SCOPES
-        .iter()
-        .flat_map(|s| (0..DELAYS_PER_SCOPE as u32).map(move |d| format!("{} delay {d}", s.name())))
-        .collect()
-}
-
-fn scope_grid_point(cell: usize) -> (ActuationScope, u32) {
-    (
-        SCOPES[cell / DELAYS_PER_SCOPE],
-        (cell % DELAYS_PER_SCOPE) as u32,
-    )
-}
+    },
+};
 
 /// Figure 17: actuation granularity vs performance under controller
 /// delay.
@@ -485,72 +362,35 @@ fn scope_grid_point(cell: usize) -> (ActuationScope, u32) {
 /// §5.2). FU/DL1 and FU/DL1/IL1 hold SPEC losses under ~2% through
 /// delay 4-5; the stressmark pays ~6% at delay 0 growing to the ~25%
 /// class at 5.
-pub struct Fig17ActuatorPerf;
-
-impl Scenario for Fig17ActuatorPerf {
-    fn id(&self) -> &'static str {
-        "fig17_actuator_perf"
-    }
-    fn title(&self) -> &'static str {
-        "actuator granularity vs performance"
-    }
-    fn runtime(&self) -> Runtime {
-        Runtime::Minutes
-    }
-    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-        scope_grid_cells()
-    }
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
-        let (scope, delay) = scope_grid_point(cell);
-        let (spec, sm, rec) = sweep_cell(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            ctx.budget(100_000),
-        );
-        let mut out = fig17_result(scope, delay, &spec, &sm);
-        out.recorder = rec;
-        out
-    }
-    fn batchable(&self) -> bool {
-        true
-    }
-    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Option<Vec<BatchLane>> {
-        let (scope, delay) = scope_grid_point(cell);
-        sweep_batch(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            2.0,
-            ctx.budget(100_000),
-        )
-    }
-    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
-        let (scope, delay) = scope_grid_point(cell);
-        let (spec, sm) = sweep_cell_finish(
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            &outcomes,
-        );
-        fig17_result(scope, delay, &spec, &sm)
-    }
-    fn render(&self, _ctx: &Ctx, cells: &[CellResult]) -> String {
+pub static FIG17_ACTUATOR_PERF: SensitivitySweep = SensitivitySweep {
+    id: "fig17_actuator_perf",
+    title: "actuator granularity vs performance",
+    grid: Grid::ScopeDelay,
+    row: |p, spec, sm| {
+        if spec.unstable {
+            vec![
+                p.delay.to_string(),
+                "UNSTABLE".into(),
+                "UNSTABLE".into(),
+                "-".into(),
+            ]
+        } else {
+            vec![
+                p.delay.to_string(),
+                pct(spec.perf_loss),
+                pct(sm.perf_loss),
+                sm.controlled_emergencies.to_string(),
+            ]
+        }
+    },
+    render: |_ctx, cells| {
         let mut s = String::new();
         writeln!(
             s,
             "== Figure 17: actuator granularity vs performance (200% impedance) ==\n"
         )
         .unwrap();
-        for (k, scope) in SCOPES.iter().enumerate() {
+        for (scope, cells) in SCOPES.iter().zip(cells.chunks(DELAYS_PER_SCOPE)) {
             writeln!(s, "-- actuator: {} --", scope.name()).unwrap();
             let mut t = TextTable::new([
                 "delay",
@@ -558,7 +398,7 @@ impl Scenario for Fig17ActuatorPerf {
                 "stressmark perf loss",
                 "emergencies left (stressmark)",
             ]);
-            for c in &cells[k * DELAYS_PER_SCOPE..(k + 1) * DELAYS_PER_SCOPE] {
+            for c in cells {
                 t.row(c.row.clone());
             }
             writeln!(s, "{}", t.render()).unwrap();
@@ -574,128 +414,47 @@ impl Scenario for Fig17ActuatorPerf {
         )
         .unwrap();
         s
-    }
-}
-
-/// Figure 17's cell shape, shared by the scalar and lane-batched paths
-/// (unstable points always arrive via the scalar path — the lane path
-/// declines them — but the shape lives in one place).
-fn fig17_result(scope: ActuationScope, delay: u32, spec: &SweepRow, sm: &SweepRow) -> CellResult {
-    let mut out = CellResult::new(format!("{} delay {delay}", scope.name()));
-    out.row = if spec.unstable {
-        vec![
-            delay.to_string(),
-            "UNSTABLE".into(),
-            "UNSTABLE".into(),
-            "-".into(),
-        ]
-    } else {
-        vec![
-            delay.to_string(),
-            pct(spec.perf_loss),
-            pct(sm.perf_loss),
-            sm.controlled_emergencies.to_string(),
-        ]
-    };
-    out
-}
+    },
+};
 
 /// Figure 18: actuation granularity vs energy under controller delay.
 ///
 /// SPEC energy overhead stays under ~1%; the stressmark's grows from
 /// the ~5% class at delay 0 toward ~20%+ at delay 5 (paper's §5.3).
-pub struct Fig18ActuatorEnergy;
-
-impl Scenario for Fig18ActuatorEnergy {
-    fn id(&self) -> &'static str {
-        "fig18_actuator_energy"
-    }
-    fn title(&self) -> &'static str {
-        "actuator granularity vs energy"
-    }
-    fn runtime(&self) -> Runtime {
-        Runtime::Minutes
-    }
-    fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-        scope_grid_cells()
-    }
-    fn run_cell(&self, ctx: &Ctx, cell: usize) -> CellResult {
-        let (scope, delay) = scope_grid_point(cell);
-        let (spec, sm, rec) = sweep_cell(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            ctx.budget(100_000),
-        );
-        let mut out = fig18_result(scope, delay, &spec, &sm);
-        out.recorder = rec;
-        out
-    }
-    fn batchable(&self) -> bool {
-        true
-    }
-    fn batch_cell(&self, ctx: &Ctx, cell: usize) -> Option<Vec<BatchLane>> {
-        let (scope, delay) = scope_grid_point(cell);
-        sweep_batch(
-            ctx,
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            2.0,
-            ctx.budget(100_000),
-        )
-    }
-    fn finish_batch_cell(&self, _ctx: &Ctx, cell: usize, outcomes: Vec<LaneOutcome>) -> CellResult {
-        let (scope, delay) = scope_grid_point(cell);
-        let (spec, sm) = sweep_cell_finish(
-            &variable_eight(),
-            &tuned_stressmark(),
-            scope,
-            delay,
-            0.0,
-            &outcomes,
-        );
-        fig18_result(scope, delay, &spec, &sm)
-    }
-    fn render(&self, _ctx: &Ctx, cells: &[CellResult]) -> String {
+pub static FIG18_ACTUATOR_ENERGY: SensitivitySweep = SensitivitySweep {
+    id: "fig18_actuator_energy",
+    title: "actuator granularity vs energy",
+    grid: Grid::ScopeDelay,
+    row: |p, spec, sm| {
+        if spec.unstable {
+            vec![p.delay.to_string(), "UNSTABLE".into(), "UNSTABLE".into()]
+        } else {
+            vec![
+                p.delay.to_string(),
+                pct(spec.energy_increase),
+                pct(sm.energy_increase),
+            ]
+        }
+    },
+    render: |_ctx, cells| {
         let mut s = String::new();
         writeln!(
             s,
             "== Figure 18: actuator granularity vs energy (200% impedance) ==\n"
         )
         .unwrap();
-        for (k, scope) in SCOPES.iter().enumerate() {
+        for (scope, cells) in SCOPES.iter().zip(cells.chunks(DELAYS_PER_SCOPE)) {
             writeln!(s, "-- actuator: {} --", scope.name()).unwrap();
             let mut t = TextTable::new([
                 "delay",
                 "SPEC-8 energy increase",
                 "stressmark energy increase",
             ]);
-            for c in &cells[k * DELAYS_PER_SCOPE..(k + 1) * DELAYS_PER_SCOPE] {
+            for c in cells {
                 t.row(c.row.clone());
             }
             writeln!(s, "{}", t.render()).unwrap();
         }
         s
-    }
-}
-
-/// Figure 18's cell shape, shared by the scalar and lane-batched paths.
-fn fig18_result(scope: ActuationScope, delay: u32, spec: &SweepRow, sm: &SweepRow) -> CellResult {
-    let mut out = CellResult::new(format!("{} delay {delay}", scope.name()));
-    out.row = if spec.unstable {
-        vec![delay.to_string(), "UNSTABLE".into(), "UNSTABLE".into()]
-    } else {
-        vec![
-            delay.to_string(),
-            pct(spec.energy_increase),
-            pct(sm.energy_increase),
-        ]
-    };
-    out
-}
+    },
+};

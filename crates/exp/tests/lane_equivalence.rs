@@ -1,16 +1,17 @@
 //! The lane executor's identity contract: a batchable scenario's report
-//! is byte-identical whether its cells run on the scalar path or are
-//! gathered into SoA lane groups — at any worker count, so chunk
-//! boundaries are covered too.
+//! is byte-identical whether each cell's lanes are stepped one at a time
+//! (the default `run_cell`) or gathered into SoA lane groups — at any
+//! worker count, so chunk boundaries are covered too.
 //!
-//! `ForceScalar` pins a scenario to the scalar path by masking
+//! `ForceScalar` pins a scenario to the per-loop path by masking
 //! `batchable`; the unwrapped scenario takes the lane path whenever
-//! telemetry and tracing are off (as here).
+//! telemetry and tracing are off, and the per-loop path with telemetry
+//! on.
 
 use voltctl_exp::engine::{run_scenario, CellResult, Ctx, Runtime, Scenario};
 use voltctl_exp::scenarios::find;
 
-/// Delegates everything but `batchable`, forcing the scalar path.
+/// Delegates everything but `batchable`, forcing the per-loop path.
 struct ForceScalar<'a>(&'a dyn Scenario);
 
 impl Scenario for ForceScalar<'_> {
@@ -49,6 +50,20 @@ fn assert_lane_path_matches_scalar(id: &str) {
             "{id}: lane-batched report differs from scalar at --jobs {jobs}"
         );
     }
+    let telemetry = Ctx {
+        telemetry: true,
+        ..ctx
+    };
+    let recorded = run_scenario(scenario, &telemetry, 2);
+    assert_eq!(
+        recorded.report, scalar.report,
+        "{id}: telemetry report differs from scalar"
+    );
+    let cycles = recorded.telemetry.snapshot().counter("loop.cycles");
+    assert!(
+        cycles.is_some_and(|c| c > 0),
+        "{id}: telemetry run recorded no loop cycles ({cycles:?})"
+    );
 }
 
 #[test]
@@ -61,9 +76,9 @@ fn fig16_lane_report_matches_scalar() {
     assert_lane_path_matches_scalar("fig16_sensor_error");
 }
 
-/// Figure 17's grid mixes batchable cells with unstable ones the lane
-/// path declines (FU-only at delay >= 3), so this covers the scalar
-/// fallback inside lane chunks.
+/// Figure 17's grid mixes simulated cells with zero-lane unstable ones
+/// (FU-only at delay >= 3). At `--jobs 8` the chunks are two cells wide,
+/// so FU delays 4 and 5 form a chunk with no lanes at all.
 #[test]
 fn fig17_mixed_grid_lane_report_matches_scalar() {
     assert_lane_path_matches_scalar("fig17_actuator_perf");

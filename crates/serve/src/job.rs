@@ -138,7 +138,6 @@ impl JobSpec {
             telemetry: self.telemetry != Mode::Off,
             telemetry_out: artifact_dir,
             trace: self.trace.then(TraceSpec::default),
-            lanes: true,
         }
     }
 

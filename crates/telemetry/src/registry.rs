@@ -237,12 +237,14 @@ impl HistSnapshot {
         self.counts.iter().sum()
     }
 
-    /// Folds `other` in (elementwise bucket addition).
+    /// Folds `other` in (elementwise bucket addition). Adds wrap, as
+    /// [`Histogram::observe`]'s atomic `fetch_add` does, so debug and
+    /// release builds agree.
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
+            *mine = mine.wrapping_add(*theirs);
         }
-        self.sum += other.sum;
+        self.sum = self.sum.wrapping_add(other.sum);
     }
 
     /// The bucket `(lo, hi)` bounds containing the `q`-quantile
