@@ -65,6 +65,28 @@ mod tests {
         assert!(d200 > 1.6 * d100 && d200 < 2.2 * d100, "{d100} vs {d200}");
     }
 
+    /// The standard machine's calibrated r/L/C, pinned bit for bit: any
+    /// change to either bisection or to the fit shows up here.
+    #[test]
+    fn calibrated_rlc_bits_are_pinned() {
+        let power = PowerModel::new(PowerParams::paper_3ghz());
+        let base = PdnModel::paper_default().unwrap();
+        // The swing `voltctl-pdn`'s fixpoint oracle calibrates at.
+        assert_eq!(current_swing(&power), 44.718_75);
+        let pins = [
+            (1.0, 0x3d85d3c4988a6150, 0x3ed1203641efafdb),
+            (1.5, 0x3d8b8e6243981746, 0x3ecb2174ee8d5040),
+            (2.0, 0x3d902553842e4c53, 0x3ec726ef8cba98a1),
+            (3.0, 0x3d94107a2f666019, 0x3ec2a1689ab76475),
+            (4.0, 0x3d97561c7e61e622, 0x3ec004afce16ae9a),
+        ];
+        for (percent, l, c) in pins {
+            let m = calibrated_pdn(&base, &power, percent).unwrap();
+            let bits = [m.r_dc(), m.inductance(), m.capacitance()].map(f64::to_bits);
+            assert_eq!(bits, [0x3f40624dd2f1a9fc, l, c], "{percent}");
+        }
+    }
+
     #[test]
     fn preserves_base_parameters() {
         let power = PowerModel::new(PowerParams::paper_3ghz());

@@ -186,17 +186,14 @@ pub(crate) fn decay(from: f64, to: f64, t: u64, settle: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::actuator::ActuationScope;
+    use crate::calibrate::calibrated_pdn;
     use voltctl_pdn::{waveform, PdnModel};
     use voltctl_power::{PowerModel, PowerParams};
 
     fn harness() -> (PdnModel, PowerModel) {
         let power = PowerModel::new(PowerParams::paper_3ghz());
         let base = PdnModel::paper_default().unwrap();
-        let delta = power.achievable_peak_current() - power.min_current();
-        (
-            base.calibrated_target(delta).unwrap().scaled(3.0).unwrap(),
-            power,
-        )
+        (calibrated_pdn(&base, &power, 3.0).unwrap(), power)
     }
 
     fn config(power: &PowerModel, thresholds: Option<Thresholds>) -> ReplayConfig {

@@ -268,15 +268,14 @@ pub fn solve_thresholds(setup: &SolveSetup<'_>) -> Result<Thresholds, ControlErr
 mod tests {
     use super::*;
     use crate::actuator::ActuationScope;
+    use crate::calibrate::calibrated_pdn;
     use voltctl_pdn::PdnModel;
     use voltctl_power::{PowerModel, PowerParams};
 
     fn harness(percent: f64) -> (PdnModel, PowerModel) {
         let power = PowerModel::new(PowerParams::paper_3ghz());
         let base = PdnModel::paper_default().unwrap();
-        let delta = power.achievable_peak_current() - power.min_current();
-        let target = base.calibrated_target(delta).unwrap();
-        (target.scaled(percent).unwrap(), power)
+        (calibrated_pdn(&base, &power, percent).unwrap(), power)
     }
 
     fn setup_for<'a>(

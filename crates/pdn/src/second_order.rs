@@ -194,7 +194,7 @@ impl PdnModelBuilder {
             peak_impedance_numeric(self.r_dc, l, c, omega0)
         };
 
-        let mut lo = self.r_dc * 1e-3;
+        let lo = self.r_dc * 1e-3;
         let mut hi = self.r_dc;
         // Grow hi until it brackets the requested peak.
         let mut guard = 0;
@@ -205,15 +205,11 @@ impl PdnModelBuilder {
                 return Err(PdnError::FitFailed);
             }
         }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if peak_for(mid) < self.peak_impedance {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let x = 0.5 * (lo + hi);
+        // At most 200 halvings; the interval reaches adjacent floats after
+        // ~53, and `bisect` stops at that exact fixpoint.
+        let x = bisect(lo, hi, 200, |mid| {
+            Ok::<_, PdnError>(peak_for(mid) < self.peak_impedance)
+        })?;
         let l = x / omega0;
         let c = 1.0 / (x * omega0);
 
@@ -232,6 +228,34 @@ impl PdnModelBuilder {
             tolerance: self.tolerance,
         })
     }
+}
+
+/// Bisects `[lo, hi]` with at most `steps` halvings and returns the final
+/// midpoint. `below(mid)` is true when the root lies above `mid`.
+///
+/// Stops after a halving that leaves both ends bitwise unchanged. `mid`
+/// then equals one end, so as long as `below` is pure, every later
+/// halving computes the same `mid`, gets the same answer and changes
+/// nothing: the result is bit-identical to running all `steps`.
+fn bisect<E>(
+    mut lo: f64,
+    mut hi: f64,
+    steps: usize,
+    mut below: impl FnMut(f64) -> Result<bool, E>,
+) -> Result<f64, E> {
+    for _ in 0..steps {
+        let (prev_lo, prev_hi) = (lo, hi);
+        let mid = 0.5 * (lo + hi);
+        if below(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if lo.to_bits() == prev_lo.to_bits() && hi.to_bits() == prev_hi.to_bits() {
+            break;
+        }
+    }
+    Ok(0.5 * (lo + hi))
 }
 
 /// Numerically locates `max_w |Z(jw)|` by dense log scan plus parabolic
@@ -505,7 +529,7 @@ impl PdnModel {
                 .build()?;
             Ok(m.worst_case_deviation(delta_i))
         };
-        let mut lo = self.r * 1.001;
+        let lo = self.r * 1.001;
         let mut hi = self.r * 2.0;
         let mut guard = 0;
         while dev_for(hi)? < allowed {
@@ -515,15 +539,10 @@ impl PdnModel {
                 return Err(PdnError::FitFailed);
             }
         }
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if dev_for(mid)? < allowed {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let z = 0.5 * (lo + hi);
+        // At most 60 halvings, each a full model fit plus a steady-state
+        // simulation; `bisect` stops at the exact fixpoint, which the
+        // interval reaches after ~53.
+        let z = bisect(lo, hi, 60, |mid| Ok(dev_for(mid)? < allowed))?;
         PdnModel::builder()
             .r_dc(self.r)
             .resonant_freq_hz(self.resonant_freq_hz())
@@ -638,6 +657,93 @@ mod tests {
             (dev - allowed).abs() / allowed < 1e-3,
             "worst case {dev} vs allowed {allowed}"
         );
+    }
+
+    /// `build`'s fit with all 200 halvings and no early exit: the oracle
+    /// for `bisect`'s fixpoint stop. Returns the fitted (L, C), or `None`
+    /// where the fit misses the requested peak.
+    fn fixed_step_fit(r_dc: f64, f0: f64, peak: f64) -> Option<(f64, f64)> {
+        let omega0 = 2.0 * std::f64::consts::PI * f0;
+        let peak_for =
+            |x: f64| peak_impedance_numeric(r_dc, x / omega0, 1.0 / (x * omega0), omega0);
+        let mut lo = r_dc * 1e-3;
+        let mut hi = r_dc;
+        while peak_for(hi) < peak {
+            hi *= 2.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if peak_for(mid) < peak {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let x = 0.5 * (lo + hi);
+        ((peak_for(x) - peak).abs() / peak <= 1e-6).then(|| (x / omega0, 1.0 / (x * omega0)))
+    }
+
+    #[test]
+    fn fixpoint_exit_fits_bit_identical_models() {
+        for (r_dc, f0) in [(R_DC, RESONANT_HZ), (0.3e-3, 80.0e6)] {
+            for k in 0..40 {
+                // 0.6 to 20 mOhm, log-spaced.
+                let peak = 0.6e-3 * (20.0f64 / 0.6).powf(k as f64 / 39.0);
+                let built = PdnModel::builder()
+                    .r_dc(r_dc)
+                    .resonant_freq_hz(f0)
+                    .peak_impedance(peak)
+                    .build()
+                    .map(|m| (m.inductance().to_bits(), m.capacitance().to_bits()))
+                    .ok();
+                let fixed = fixed_step_fit(r_dc, f0, peak).map(|(l, c)| (l.to_bits(), c.to_bits()));
+                assert!(built.is_some(), "r_dc {r_dc}, peak {peak}: fit failed");
+                assert_eq!(built, fixed, "r_dc {r_dc}, f0 {f0}, peak {peak}");
+            }
+        }
+    }
+
+    /// `calibrated_target` with all 60 outer halvings and no early exit.
+    fn fixed_step_target(base: &PdnModel, delta_i: f64) -> PdnModel {
+        let fit = |z_pk: f64| {
+            PdnModel::builder()
+                .r_dc(base.r_dc())
+                .resonant_freq_hz(base.resonant_freq_hz())
+                .peak_impedance(z_pk)
+                .clock_hz(base.clock_hz())
+                .v_nominal(base.v_nominal())
+                .tolerance(base.tolerance())
+                .build()
+                .unwrap()
+        };
+        let allowed = base.tolerance_volts();
+        let mut lo = base.r_dc() * 1.001;
+        let mut hi = base.r_dc() * 2.0;
+        while fit(hi).worst_case_deviation(delta_i) < allowed {
+            hi *= 2.0;
+        }
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if fit(mid).worst_case_deviation(delta_i) < allowed {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        fit(0.5 * (lo + hi))
+    }
+
+    #[test]
+    fn fixpoint_exit_calibrates_bit_identical_targets() {
+        let base = PdnModel::paper_default().unwrap();
+        // 44.71875 A is the standard machine's swing
+        // (`voltctl_core::calibrate::current_swing`, pinned there).
+        for delta_i in [45.0, 44.718_75] {
+            let bits = |m: &PdnModel| [m.r_dc(), m.inductance(), m.capacitance()].map(f64::to_bits);
+            let early = base.calibrated_target(delta_i).unwrap();
+            let fixed = fixed_step_target(&base, delta_i);
+            assert_eq!(bits(&early), bits(&fixed), "delta_i {delta_i}");
+        }
     }
 
     #[test]
