@@ -1,18 +1,12 @@
 //! The `voltctl-exp bench` subcommand: the machine-readable performance
-//! baseline for the simulation kernels.
+//! baseline for the closed-loop simulator.
 //!
-//! Two suites run on the in-tree micro-benchmark harness
-//! ([`voltctl_telemetry::stopwatch::bench`]) and export JSON artifacts:
-//!
-//! * **`BENCH_pdn.json`** — voltage-computation throughput per kernel
-//!   size: the direct O(N·K) convolution, the overlap-save FFT path
-//!   (O(N log K)), the branch-free streaming convolver, and the O(1)/cycle
-//!   state-space stepper, all over the same seeded trace; plus the
-//!   derive-vs-cache-hit cost of [`voltctl_pdn::cached_kernel_for`].
-//! * **`BENCH_loop.json`** — closed-loop simulator throughput:
-//!   uncontrolled, threshold-controlled, telemetry-recorded, and
-//!   flight-recorder-traced
-//!   [`ControlLoop`](voltctl_core::prelude::ControlLoop) stepping.
+//! One suite runs on the in-tree micro-benchmark harness
+//! ([`voltctl_telemetry::stopwatch::bench`]) and exports
+//! **`BENCH_loop.json`**: uncontrolled, threshold-controlled,
+//! lane-batched, telemetry-recorded, flight-recorder-traced and
+//! sample-recording [`ControlLoop`](voltctl_core::prelude::ControlLoop)
+//! stepping, plus snapshot save/restore.
 //!
 //! Every point carries wall-clock nanoseconds and derived cycles/second.
 //! [`run`] fails (after writing the artifacts, so CI can still upload
@@ -31,10 +25,8 @@ use voltctl_core::LaneLoop;
 use voltctl_isa::builder::ProgramBuilder;
 use voltctl_isa::reg::IntReg;
 use voltctl_isa::Program;
-use voltctl_pdn::state_space::pulse_response;
-use voltctl_pdn::{cached_kernel_for, convolve, PdnModel};
 use voltctl_telemetry::stopwatch::bench;
-use voltctl_telemetry::{MemoryRecorder, Rng};
+use voltctl_telemetry::MemoryRecorder;
 use voltctl_trace::FlightRecorder;
 
 use crate::harness::{cpu_config, pdn_at, power_model};
@@ -44,13 +36,10 @@ use crate::harness::{cpu_config, pdn_at, power_model};
 pub struct BenchOpts {
     /// Tiny trace/cycle budgets for CI plumbing checks.
     pub smoke: bool,
-    /// Directory the `BENCH_*.json` artifacts are written to.
+    /// Directory `BENCH_loop.json` and its manifest are written to.
     pub out: PathBuf,
-    /// Run only the named suite (`pdn` or `loop`); `None` runs both.
-    /// Useful for regenerating one baseline without paying for the other.
-    pub suite: Option<String>,
-    /// Prior baseline to diff against: a `BENCH_*.json` file, or a
-    /// directory holding one per suite. Per-point throughput deltas are
+    /// Prior baseline to diff against: a `BENCH_loop.json` file, or a
+    /// directory holding one. Per-point throughput deltas are
     /// printed, and any drop past [`tolerance`](BenchOpts::tolerance)
     /// fails the run.
     pub compare: Option<PathBuf>,
@@ -66,7 +55,6 @@ impl Default for BenchOpts {
         BenchOpts {
             smoke: false,
             out: PathBuf::from(DEFAULT_PERF_DIR),
-            suite: None,
             compare: None,
             tolerance: DEFAULT_TOLERANCE,
         }
@@ -94,7 +82,9 @@ pub const DEFAULT_PERF_DIR: &str = "results/perf";
 /// wall-clock ratio over an identical request mix). Version 6 added
 /// `latency_p999_ms` to the serve summary, completing the
 /// p50/p90/p99/p999 set the live `/metrics` plane also exposes.
-pub const BENCH_SCHEMA: u64 = 6;
+/// Version 7 dropped the `pdn` suite and each point's convolution-tap
+/// count; `--compare` still reads older files and matches on `path`.
+pub const BENCH_SCHEMA: u64 = 7;
 
 /// Lane gate: the batched lane path must beat the scalar controlled
 /// loop by at least this factor *within the same run*. A ratio, not an
@@ -104,14 +94,11 @@ pub const BENCH_SCHEMA: u64 = 6;
 /// (CI gates the smoke artifact's best ratio itself).
 pub const MIN_LANE_SPEEDUP: f64 = 1.5;
 
-/// One measured point: a named code path at a kernel size (0 taps for
-/// paths with no kernel, e.g. the state-space stepper or the loop suite).
+/// One measured point: a named code path.
 #[derive(Debug, Clone)]
 pub struct BenchPoint {
-    /// Code path measured (`direct`, `fft`, `stream`, `state_space`, …).
+    /// Code path measured (`uncontrolled`, `controlled`, `lane_w4`, …).
     pub path: &'static str,
-    /// Convolution taps (0 where not applicable).
-    pub kernel_taps: usize,
     /// Simulated cycles per iteration.
     pub cycles: u64,
     /// Median wall-clock nanoseconds per iteration.
@@ -128,7 +115,6 @@ pub struct BenchPoint {
 impl BenchPoint {
     fn from_result(
         path: &'static str,
-        kernel_taps: usize,
         cycles: u64,
         r: voltctl_telemetry::stopwatch::BenchResult,
     ) -> BenchPoint {
@@ -144,7 +130,6 @@ impl BenchPoint {
         };
         BenchPoint {
             path,
-            kernel_taps,
             cycles,
             wall_ns: r.median_ns_per_iter,
             best_ns: r.best_ns_per_iter,
@@ -164,7 +149,8 @@ impl BenchPoint {
 /// A completed suite ready for export.
 #[derive(Debug, Clone)]
 pub struct BenchSuite {
-    /// Suite name (`pdn` or `loop`); the artifact is `BENCH_<name>.json`.
+    /// Suite name (`loop`, or `serve` for the daemon's load generator);
+    /// the artifact is `BENCH_<name>.json`.
     pub name: &'static str,
     /// Whether smoke budgets were used.
     pub smoke: bool,
@@ -180,7 +166,7 @@ impl BenchSuite {
         self.points
             .iter()
             .filter(|p| !p.is_sane())
-            .map(|p| format!("{}/{} taps", p.path, p.kernel_taps))
+            .map(|p| p.path.to_string())
             .collect()
     }
 
@@ -196,11 +182,10 @@ impl BenchSuite {
         for (k, p) in self.points.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{\"path\": \"{}\", \"kernel_taps\": {}, \"cycles\": {}, \
+                "    {{\"path\": \"{}\", \"cycles\": {}, \
                  \"wall_ns\": {}, \"best_ns\": {}, \"cycles_per_sec\": {}, \
                  \"ns_per_cycle\": {}}}{}",
                 p.path,
-                p.kernel_taps,
                 p.cycles,
                 json_num(p.wall_ns),
                 json_num(p.best_ns),
@@ -231,112 +216,6 @@ fn json_num(x: f64) -> String {
         format!("{x}")
     } else {
         "null".to_string()
-    }
-}
-
-/// A deterministic replay-style trace: a resonant square train with
-/// seeded jitter, the workload class the convolution paths exist for.
-fn bench_trace(model: &PdnModel, cycles: usize) -> Vec<f64> {
-    let period = model.resonant_period_cycles().max(2);
-    let mut rng = Rng::new(0x9e3779b97f4a7c15);
-    (0..cycles)
-        .map(|k| {
-            let base = if (k / (period / 2)).is_multiple_of(2) {
-                42.0
-            } else {
-                6.0
-            };
-            base + 3.0 * rng.next_f64()
-        })
-        .collect()
-}
-
-/// The PDN suite: convolution paths per kernel size + kernel-cache cost.
-pub fn bench_pdn(smoke: bool) -> BenchSuite {
-    let (trace_cycles, samples, iters) = if smoke { (4096, 2, 1) } else { (65536, 5, 1) };
-    let model = PdnModel::paper_default().expect("paper parameters are valid");
-    let trace = bench_trace(&model, trace_cycles);
-    let v_nom = model.v_nominal();
-
-    // The paper-default kernel length anchors the size sweep: half, full,
-    // and double, all exact truncations of one long pulse response.
-    let paper_taps = convolve::kernel_for(&model, 1e-6).len();
-    let sizes = [paper_taps / 4, paper_taps / 2, paper_taps, paper_taps * 2];
-    let long_kernel = pulse_response(&model, paper_taps * 2);
-
-    let mut points = Vec::new();
-    let mut direct_at_paper = f64::NAN;
-    let mut fft_at_paper = f64::NAN;
-    for &taps in &sizes {
-        let kernel = &long_kernel[..taps];
-        let d = bench(&format!("pdn.direct.k{taps}"), samples, iters, || {
-            convolve::convolve_full(kernel, &trace, v_nom)
-        });
-        let f = bench(&format!("pdn.fft.k{taps}"), samples, iters, || {
-            convolve::convolve_full_fft(kernel, &trace, v_nom)
-        });
-        let s = bench(&format!("pdn.stream.k{taps}"), samples, iters, || {
-            let mut conv = convolve::Convolver::new(kernel.to_vec(), v_nom);
-            let mut last = 0.0;
-            for &i in &trace {
-                last = conv.step(i);
-            }
-            last
-        });
-        if taps == paper_taps {
-            direct_at_paper = d.median_ns_per_iter;
-            fft_at_paper = f.median_ns_per_iter;
-        }
-        let cycles = trace_cycles as u64;
-        points.push(BenchPoint::from_result("direct", taps, cycles, d));
-        points.push(BenchPoint::from_result("fft", taps, cycles, f));
-        points.push(BenchPoint::from_result("stream", taps, cycles, s));
-    }
-
-    // The state-space stepper is kernel-independent: one reference point.
-    let ss = bench("pdn.state_space", samples, iters, || {
-        let mut state = model.discretize();
-        let mut last = 0.0;
-        for &i in &trace {
-            last = state.step(i);
-        }
-        last
-    });
-    points.push(BenchPoint::from_result(
-        "state_space",
-        0,
-        trace_cycles as u64,
-        ss,
-    ));
-
-    // Derivation-cache economics: cold derive vs. warm hit.
-    let derive_t0 = Instant::now();
-    let derived = convolve::kernel_for(&model, 1e-6);
-    let derive_ns = derive_t0.elapsed().as_nanos() as f64;
-    let _ = cached_kernel_for(&model, 1e-6); // warm the entry
-    let hit_t0 = Instant::now();
-    let hits = 64;
-    for _ in 0..hits {
-        std::hint::black_box(cached_kernel_for(&model, 1e-6));
-    }
-    let hit_ns = hit_t0.elapsed().as_nanos() as f64 / hits as f64;
-
-    let summary = vec![
-        ("trace_cycles", trace_cycles as f64),
-        ("paper_default_kernel_taps", paper_taps as f64),
-        (
-            "fft_speedup_at_paper_default",
-            direct_at_paper / fft_at_paper,
-        ),
-        ("kernel_derive_ns", derive_ns),
-        ("kernel_cache_hit_ns", hit_ns),
-        ("derived_kernel_taps", derived.len() as f64),
-    ];
-    BenchSuite {
-        name: "pdn",
-        smoke,
-        points,
-        summary,
     }
 }
 
@@ -436,7 +315,7 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
             speedup_name,
             (c.best_ns_per_iter / chunk as f64) / (l.best_ns_per_iter / (w as u64 * chunk) as f64),
         ));
-        lane_points.push(BenchPoint::from_result(path, 0, w as u64 * chunk, l));
+        lane_points.push(BenchPoint::from_result(path, w as u64 * chunk, l));
     }
 
     let mut recorded = ControlLoop::builder(spin_program())
@@ -503,16 +382,16 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
     });
 
     let mut points = vec![
-        BenchPoint::from_result("uncontrolled", 0, chunk, u),
-        BenchPoint::from_result("controlled", 0, chunk, c),
+        BenchPoint::from_result("uncontrolled", chunk, u),
+        BenchPoint::from_result("controlled", chunk, c),
     ];
     points.extend(lane_points);
     points.extend([
-        BenchPoint::from_result("recorded", 0, chunk, r),
-        BenchPoint::from_result("traced", 0, chunk, t),
-        BenchPoint::from_result("recorded_trace", 0, chunk, rt),
-        BenchPoint::from_result("snapshot_save", 0, state_cycles, sv),
-        BenchPoint::from_result("snapshot_restore", 0, state_cycles, rs),
+        BenchPoint::from_result("recorded", chunk, r),
+        BenchPoint::from_result("traced", chunk, t),
+        BenchPoint::from_result("recorded_trace", chunk, rt),
+        BenchPoint::from_result("snapshot_save", state_cycles, sv),
+        BenchPoint::from_result("snapshot_restore", state_cycles, rs),
     ]);
     // Best-of-N ratios: see the doc comment — the minimum is the
     // noise-robust estimator on shared runners, medians are not.
@@ -544,97 +423,84 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
     }
 }
 
-/// Runs both suites, writes `BENCH_pdn.json` and `BENCH_loop.json` under
-/// `opts.out`, and returns the artifact paths.
+/// Runs the loop suite, writes `BENCH_loop.json` and its manifest under
+/// `opts.out`, and returns the artifact path.
 ///
 /// # Errors
 ///
-/// Returns a description of every NaN/zero-throughput point (the
-/// artifacts are still written first so CI can upload them), or the I/O
-/// error message if writing failed.
-pub fn run(opts: &BenchOpts) -> Result<Vec<PathBuf>, String> {
+/// Returns every failed check, each labelled by its cause:
+/// NaN/zero-throughput points, a full-scale lane speedup below
+/// [`MIN_LANE_SPEEDUP`], or `--compare` regressions past the tolerance.
+/// The artifacts are still written first so CI can upload them. An
+/// unreadable baseline or a failed write returns its error message.
+pub fn run(opts: &BenchOpts) -> Result<PathBuf, String> {
     let started = Instant::now();
-    let mut suites = Vec::new();
-    if opts.suite.as_deref().is_none_or(|s| s == "pdn") {
-        suites.push(bench_pdn(opts.smoke));
-    }
-    if opts.suite.as_deref().is_none_or(|s| s == "loop") {
-        suites.push(bench_loop(opts.smoke));
-    }
-    if suites.is_empty() {
-        return Err(format!("unknown bench suite {:?}", opts.suite));
-    }
-    // Baselines load *before* the artifacts are (over)written: comparing
-    // against the default out directory — the regenerate-in-place
-    // workflow — must diff against the prior run, not the file this one
-    // just wrote.
-    let mut baselines = Vec::new();
-    if let Some(base) = &opts.compare {
-        for suite in &suites {
-            baselines.push(load_baseline(base, suite.name)?);
-        }
-    }
-    let mut paths = Vec::new();
-    let mut failures = Vec::new();
-    for suite in &suites {
-        let path = write_suite(&opts.out, suite).map_err(|e| {
-            format!(
-                "failed to write BENCH_{}.json under {}: {e}",
-                suite.name,
-                opts.out.display()
-            )
-        })?;
-        eprintln!("[voltctl-exp] wrote {}", path.display());
-        paths.push(path);
-        for bad in suite.insane_points() {
-            failures.push(format!("BENCH_{}: {bad}", suite.name));
-        }
-        // Lane gate: batched vs. scalar within the same run.
-        if suite.name == "loop" && !opts.smoke {
-            let best = suite
-                .summary
-                .iter()
-                .filter(|(n, _)| n.starts_with("lane_speedup_"))
-                .map(|(_, v)| *v)
-                .fold(f64::NAN, f64::max);
-            if best.is_nan() || best < MIN_LANE_SPEEDUP {
-                failures.push(format!(
-                    "BENCH_loop: best lane speedup {best:.2}x is below the {MIN_LANE_SPEEDUP}x gate"
-                ));
-            }
-        }
-    }
+    let suite = bench_loop(opts.smoke);
+    // The baseline loads *before* the artifact is (over)written:
+    // comparing against the default out directory — the
+    // regenerate-in-place workflow — must diff against the prior run,
+    // not the file this one just wrote.
+    let baseline = match &opts.compare {
+        Some(base) => load_baseline(base, suite.name)?,
+        None => None,
+    };
+    let path = write_suite(&opts.out, &suite).map_err(|e| {
+        format!(
+            "failed to write BENCH_{}.json under {}: {e}",
+            suite.name,
+            opts.out.display()
+        )
+    })?;
+    eprintln!("[voltctl-exp] wrote {}", path.display());
 
+    let mut failures = Vec::new();
+    let insane = suite.insane_points();
+    if !insane.is_empty() {
+        failures.push(format!("NaN/zero-throughput points: {}", insane.join(", ")));
+    }
+    // Lane gate: batched vs. scalar within the same run.
+    if !opts.smoke {
+        let best = suite
+            .summary
+            .iter()
+            .filter(|(n, _)| n.starts_with("lane_speedup_"))
+            .map(|(_, v)| *v)
+            .fold(f64::NAN, f64::max);
+        if best.is_nan() || best < MIN_LANE_SPEEDUP {
+            failures.push(format!(
+                "lane speedup gate: best {best:.2}x is below {MIN_LANE_SPEEDUP}x"
+            ));
+        }
+    }
     // Baseline diff: per-point throughput deltas against the prior
     // artifact, failing on any drop past the tolerance.
     if let Some(base) = &opts.compare {
-        for (suite, old) in suites.iter().zip(&baselines) {
-            match old {
-                Some(old) => {
-                    let diff = compare_suite(suite, old, opts.tolerance);
-                    print!("{}", diff.rendered);
-                    failures.extend(diff.regressions);
+        match &baseline {
+            Some(old) => {
+                let diff = compare_suite(&suite, old, opts.tolerance);
+                print!("{}", diff.rendered);
+                if !diff.regressions.is_empty() {
+                    failures.push(format!(
+                        "throughput regressions against {}: {}",
+                        old.origin.display(),
+                        diff.regressions.join(", ")
+                    ));
                 }
-                None => eprintln!(
-                    "[voltctl-exp] no {} baseline under {} — skipping compare",
-                    suite.name,
-                    base.display()
-                ),
             }
+            None => eprintln!(
+                "[voltctl-exp] no {} baseline under {} — skipping compare",
+                suite.name,
+                base.display()
+            ),
         }
     }
 
     // Provenance: baselines are regenerate-in-place, so their manifest
     // is too (plain overwrite, not the -N writer).
-    let mut manifest = crate::manifest::Manifest::new(match opts.suite.as_deref() {
-        Some(s) => format!("bench --suite {s}"),
-        None => "bench".to_string(),
-    });
+    let mut manifest = crate::manifest::Manifest::new("bench");
     manifest.smoke = opts.smoke;
     manifest.wall(started.elapsed());
-    for path in &paths {
-        manifest.artifact(path);
-    }
+    manifest.artifact(&path);
     match manifest.write_over(&opts.out) {
         Ok(path) => eprintln!("[voltctl-exp] wrote {}", path.display()),
         Err(e) => {
@@ -646,28 +512,25 @@ pub fn run(opts: &BenchOpts) -> Result<Vec<PathBuf>, String> {
     }
 
     if failures.is_empty() {
-        Ok(paths)
+        Ok(path)
     } else {
-        Err(format!(
-            "NaN/zero-throughput points: {}",
-            failures.join(", ")
-        ))
+        Err(format!("BENCH_{}: {}", suite.name, failures.join("; ")))
     }
 }
 
 /// A prior suite loaded from a `BENCH_*.json` artifact (any schema —
-/// every version has carried `path`/`kernel_taps`/`cycles_per_sec`).
+/// every version has carried `path`/`cycles_per_sec`; fields a version
+/// no longer writes are ignored).
 #[derive(Debug)]
 struct OldSuite {
     origin: PathBuf,
     smoke: Option<bool>,
-    points: Vec<(String, usize, Option<f64>)>,
+    points: Vec<(String, Option<f64>)>,
 }
 
 /// Loads the baseline for `suite_name` from `base`: a directory holding
 /// `BENCH_<name>.json`, or a single artifact file (skipped with
-/// `Ok(None)` when it describes a different suite, so `--compare
-/// OLD.json` composes with running both suites).
+/// `Ok(None)` when it describes a different suite).
 ///
 /// # Errors
 ///
@@ -700,7 +563,6 @@ fn load_baseline(base: &Path, suite_name: &str) -> Result<Option<OldSuite>, Stri
         .filter_map(|p| {
             Some((
                 p.get("path")?.as_str()?.to_string(),
-                p.get("kernel_taps")?.as_f64()? as usize,
                 p.get("cycles_per_sec").and_then(|v| v.as_f64()),
             ))
         })
@@ -719,9 +581,9 @@ struct CompareOutcome {
 }
 
 /// Diffs the current suite against a loaded baseline, point by point
-/// (matched on `path` + `kernel_taps`). A point is a regression when
-/// its throughput dropped by more than `tolerance`; new, dropped, and
-/// unmeasurable (`null`) points are annotated but never fail.
+/// (matched on `path`). A point is a regression when its throughput
+/// dropped by more than `tolerance`; new, dropped, and unmeasurable
+/// (`null`) points are annotated but never fail.
 fn compare_suite(suite: &BenchSuite, old: &OldSuite, tolerance: f64) -> CompareOutcome {
     let mut s = String::new();
     let mut regressions = Vec::new();
@@ -742,23 +604,18 @@ fn compare_suite(suite: &BenchSuite, old: &OldSuite, tolerance: f64) -> CompareO
     }
     let _ = writeln!(
         s,
-        "  {:<16} {:>5}  {:>12}  {:>12}  {:>8}",
-        "path", "taps", "old cyc/s", "new cyc/s", "delta"
+        "  {:<16}  {:>12}  {:>12}  {:>8}",
+        "path", "old cyc/s", "new cyc/s", "delta"
     );
     for p in &suite.points {
-        let prior = old
-            .points
-            .iter()
-            .find(|(path, taps, _)| *path == p.path && *taps == p.kernel_taps);
+        let prior = old.points.iter().find(|(path, _)| *path == p.path);
         let (old_txt, delta_txt) = match prior {
-            Some((_, _, Some(old_cps))) if p.cycles_per_sec.is_finite() && *old_cps > 0.0 => {
+            Some((_, Some(old_cps))) if p.cycles_per_sec.is_finite() && *old_cps > 0.0 => {
                 let delta = p.cycles_per_sec / old_cps - 1.0;
                 if delta < -tolerance {
                     regressions.push(format!(
-                        "BENCH_{}: {}/{} taps {:.1}% below baseline (tolerance {:.0}%)",
-                        suite.name,
+                        "{} {:.1}% below baseline (tolerance {:.0}%)",
                         p.path,
-                        p.kernel_taps,
                         -delta * 100.0,
                         tolerance * 100.0
                     ));
@@ -770,21 +627,16 @@ fn compare_suite(suite: &BenchSuite, old: &OldSuite, tolerance: f64) -> CompareO
         };
         let _ = writeln!(
             s,
-            "  {:<16} {:>5}  {:>12}  {:>12}  {:>8}",
+            "  {:<16}  {:>12}  {:>12}  {:>8}",
             p.path,
-            p.kernel_taps,
             old_txt,
             format!("{:.3e}", p.cycles_per_sec),
             delta_txt
         );
     }
-    for (path, taps, _) in &old.points {
-        if !suite
-            .points
-            .iter()
-            .any(|p| p.path == *path && p.kernel_taps == *taps)
-        {
-            let _ = writeln!(s, "  {path:<16} {taps:>5}  (dropped from this run)");
+    for (path, _) in &old.points {
+        if !suite.points.iter().any(|p| p.path == *path) {
+            let _ = writeln!(s, "  {path:<16}  (dropped from this run)");
         }
     }
     CompareOutcome {
@@ -804,31 +656,6 @@ fn write_suite(dir: &Path, suite: &BenchSuite) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pdn_suite_covers_kernel_sizes_and_paths() {
-        let suite = bench_pdn(true);
-        assert_eq!(suite.name, "pdn");
-        assert!(suite.insane_points().is_empty(), "{:?}", suite.points);
-        // >= 3 kernel-size points per convolution path.
-        for path in ["direct", "fft", "stream"] {
-            let sizes: std::collections::BTreeSet<usize> = suite
-                .points
-                .iter()
-                .filter(|p| p.path == path)
-                .map(|p| p.kernel_taps)
-                .collect();
-            assert!(sizes.len() >= 3, "{path} has sizes {sizes:?}");
-        }
-        assert!(suite.points.iter().any(|p| p.path == "state_space"));
-        let speedup = suite
-            .summary
-            .iter()
-            .find(|(n, _)| *n == "fft_speedup_at_paper_default")
-            .unwrap()
-            .1;
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
 
     #[test]
     fn loop_suite_measures_all_variants() {
@@ -885,11 +712,10 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_nan_safe() {
         let suite = BenchSuite {
-            name: "pdn",
+            name: "loop",
             smoke: true,
             points: vec![BenchPoint {
-                path: "direct",
-                kernel_taps: 8,
+                path: "controlled",
                 cycles: 100,
                 wall_ns: f64::NAN,
                 best_ns: 1.0,
@@ -921,20 +747,17 @@ mod tests {
             out: dir.clone(),
             ..BenchOpts::default()
         };
-        let paths = run(&opts).expect("smoke bench must produce sane throughput");
-        assert_eq!(paths.len(), 2);
-        for (path, name) in paths.iter().zip(["pdn", "loop"]) {
-            let contents = std::fs::read_to_string(path).unwrap();
-            assert!(contents.contains(&format!("\"bench\": \"{name}\"")));
-            assert!(contents.contains("\"cycles_per_sec\""));
-            assert!(contents.contains("\"ns_per_cycle\""));
-            assert!(contents.contains(&format!("\"schema\": {BENCH_SCHEMA}")));
-        }
+        let path = run(&opts).expect("smoke bench must produce sane throughput");
+        assert_eq!(path, dir.join("BENCH_loop.json"));
+        let contents = std::fs::read_to_string(&path).unwrap();
+        assert!(contents.contains("\"bench\": \"loop\""));
+        assert!(contents.contains("\"cycles_per_sec\""));
+        assert!(contents.contains("\"ns_per_cycle\""));
+        assert!(contents.contains(&format!("\"schema\": {BENCH_SCHEMA}")));
         // The baseline directory is self-describing: a manifest lists
-        // both artifacts with their sizes.
+        // the artifact with its size.
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         voltctl_check::Json::parse(&manifest).expect("manifest parses");
-        assert!(manifest.contains("\"path\": \"BENCH_pdn.json\""));
         assert!(manifest.contains("\"path\": \"BENCH_loop.json\""));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -945,7 +768,6 @@ mod tests {
             smoke: true,
             points: vec![BenchPoint {
                 path: "controlled",
-                kernel_taps: 0,
                 cycles: 100,
                 wall_ns: 1.0,
                 best_ns: 1.0,
@@ -980,11 +802,11 @@ mod tests {
         assert!(diff.rendered.contains("+100.0%"));
 
         // A single-file baseline for a different suite is skipped.
-        assert!(load_baseline(&dir.join("BENCH_loop.json"), "pdn")
+        assert!(load_baseline(&dir.join("BENCH_loop.json"), "serve")
             .unwrap()
             .is_none());
         // A missing per-suite file under a directory is skipped too.
-        assert!(load_baseline(&dir, "pdn").unwrap().is_none());
+        assert!(load_baseline(&dir, "serve").unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1001,5 +823,83 @@ mod tests {
         assert!(diff.rendered.contains("new"), "{}", diff.rendered);
         assert!(diff.rendered.contains("dropped from this run"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The committed baseline predates schema 7 (its points still carry a
+    /// tap count); it must load, and every point of today's suite must
+    /// find its prior row by path alone.
+    #[test]
+    fn committed_loop_baseline_matches_every_point_by_path() {
+        let committed =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/perf/BENCH_loop.json");
+        let text = std::fs::read_to_string(&committed).unwrap();
+        let schema = voltctl_check::Json::parse(&text)
+            .unwrap()
+            .get("schema")
+            .and_then(|s| s.as_f64())
+            .unwrap();
+        assert!(schema < 7.0, "the committed file predates schema 7");
+        let old = load_baseline(&committed, "loop").unwrap().unwrap();
+        let suite = bench_loop(true);
+        assert_eq!(old.points.len(), suite.points.len());
+        for p in &suite.points {
+            assert!(
+                old.points.iter().any(|(path, _)| path == p.path),
+                "{} has no prior row",
+                p.path
+            );
+        }
+        let diff = compare_suite(&suite, &old, f64::INFINITY);
+        assert!(
+            !diff.rendered.contains("dropped from this run")
+                && !diff.rendered.lines().any(|l| l.ends_with(" new")),
+            "{}",
+            diff.rendered
+        );
+    }
+
+    /// A `--compare` regression is reported as a regression, not as a
+    /// NaN/zero-throughput point.
+    #[test]
+    fn compare_regression_is_labelled_by_its_cause() {
+        let base = std::env::temp_dir().join(format!("voltctl-bench-reg-{}", std::process::id()));
+        let out = base.join("out");
+        std::fs::create_dir_all(&base).unwrap();
+        let paths = [
+            "uncontrolled",
+            "controlled",
+            "lane_w4",
+            "lane_w8",
+            "recorded",
+            "traced",
+            "recorded_trace",
+            "snapshot_save",
+            "snapshot_restore",
+        ];
+        let inflated = BenchSuite {
+            points: paths
+                .iter()
+                .map(|&path| BenchPoint {
+                    path,
+                    ..tiny_suite(1e18).points[0].clone()
+                })
+                .collect(),
+            ..tiny_suite(1e18)
+        };
+        std::fs::write(base.join("BENCH_loop.json"), inflated.to_json()).unwrap();
+        let opts = BenchOpts {
+            smoke: true,
+            out: out.clone(),
+            compare: Some(base.clone()),
+            ..BenchOpts::default()
+        };
+        let err = run(&opts).expect_err("every point is far below an inflated baseline");
+        assert!(err.contains("throughput regressions"), "{err}");
+        assert!(err.contains("controlled"), "{err}");
+        assert!(err.contains("below baseline"), "{err}");
+        assert!(!err.contains("NaN"), "{err}");
+        // The artifact is still written for upload.
+        assert!(out.join("BENCH_loop.json").exists());
+        std::fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -182,8 +182,8 @@ pub fn solve_cache_capacity() -> usize {
 }
 
 /// Live hit/miss/eviction/residency stats for the threshold-solution
-/// memo (the serve daemon surfaces these at `/metrics` alongside the
-/// kernel cache's).
+/// memo (the serve daemon surfaces these at `/metrics` and
+/// `/stats?verbose=1`).
 pub fn solve_cache_stats() -> voltctl_pdn::CacheStats {
     solve_cache().stats()
 }

@@ -1,8 +1,8 @@
 //! Concurrency oracle for the bounded threshold-solution memo.
 //!
-//! `solve_for` now sits behind the same sharded-LRU structure as the
-//! kernel cache, shared by every daemon worker. Under an 8-thread
-//! hammer over a mixed configuration set, every returned solution —
+//! `solve_for` sits behind a bounded sharded LRU
+//! (`voltctl_pdn::ShardedLru`), shared by every daemon worker. Under an
+//! 8-thread hammer over a mixed configuration set, every returned solution —
 //! thresholds *and* cached infeasibility errors — must equal the
 //! single-threaded result for that configuration, and re-solving after
 //! churn must reproduce the original solution exactly (the solver is

@@ -1,41 +1,24 @@
-//! Process-wide derivation caches for expensive per-model computations.
+//! A bounded, sharded LRU for memoizing expensive derivations across
+//! threads, and the [`CacheStats`] view the serve daemon reports for it.
 //!
-//! Parallel experiment grids instantiate the *same* handful of
-//! [`PdnModel`]s in every cell (the calibrated network at each impedance
-//! percent), and each cell that takes the convolution path re-derives the
-//! same truncated kernel — hundreds of state-space steps plus tail scans
-//! per derivation. [`cached_kernel_for`] memoizes those kernels in a
-//! [`ShardedLru`], keyed by the model's *quantized* physical parameters,
-//! so a grid runner derives each distinct kernel exactly once while the
-//! entry stays resident.
+//! The one process-wide user is the threshold-solution memo in
+//! `voltctl-exp` (`harness::solve_for`): parallel experiment grids and
+//! daemon workers ask for the same handful of configurations, and each
+//! solve is hundreds of replay simulations.
 //!
 //! # Why a bounded LRU and not a grow-forever map
 //!
-//! The original memo was an unbounded `HashMap` behind one global mutex.
-//! Fine for a batch CLI that exits after one grid; wrong for a
-//! long-running daemon (`voltctl-serve`) where every distinct
-//! `(model, tolerance)` a client ever submits would pin a multi-kilobyte
-//! kernel for the life of the process, and every lookup from every worker
-//! would contend on the same lock. [`ShardedLru`] bounds residency
-//! (least-recently-used entries are evicted once a shard fills) and
-//! spreads lock contention across shards keyed by hash.
-//!
-//! # Key quantization
-//!
-//! Models arrive from calibration bisections, so two logically identical
-//! models can differ in the last few mantissa bits. The cache key drops
-//! the low 8 mantissa bits of each parameter (a ~2^-44 relative
-//! quantum — far below any physically meaningful difference, far above
-//! bisection jitter), folding such twins onto one entry. The kernel
-//! returned is the one derived for the first model seen in the class;
-//! within the quantum the responses are indistinguishable at the cached
-//! tolerances.
+//! An unbounded `HashMap` behind one global mutex is fine for a batch CLI
+//! that exits after one grid, and wrong for a long-running daemon
+//! (`voltctl-serve`), where every distinct key a client ever submits
+//! would stay resident for the life of the process, and every lookup
+//! from every worker would contend on the same lock. [`ShardedLru`]
+//! bounds residency (least-recently-used entries are evicted once a
+//! shard fills) and spreads lock contention across shards keyed by hash.
 
-use crate::convolve::kernel_for;
-use crate::second_order::PdnModel;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One shard: a mutex-guarded MRU-ordered entry list.
 type Shard<K, V> = Mutex<Vec<(K, V)>>;
@@ -218,81 +201,13 @@ impl<K: Eq + Hash, V: Clone> ShardedLru<K, V> {
     }
 }
 
-/// A quantized cache key: the bit patterns of every parameter the kernel
-/// derivation depends on, low mantissa bits masked.
-type Key = [u64; 6];
-
-/// Drops the low 8 mantissa bits: values within ~2^-44 relative distance
-/// share a key.
-///
-/// Operates on the raw bit pattern, so every `f64` — NaNs, infinities,
-/// subnormals, both zeros — maps to *some* key without panicking, and the
-/// sign bit always survives (so `+0.0` and `-0.0`, or `±x` twins from a
-/// sign error upstream, never fold onto one cache entry). Public so the
-/// edge-case property suite can pin this contract down directly.
-pub fn quantize(x: f64) -> u64 {
-    x.to_bits() & !0xFF
-}
-
-fn key_for(model: &PdnModel, rel_tol: f64) -> Key {
-    [
-        quantize(model.r_dc()),
-        quantize(model.inductance()),
-        quantize(model.capacitance()),
-        quantize(model.clock_hz()),
-        quantize(model.v_nominal()),
-        quantize(rel_tol),
-    ]
-}
-
-/// Shard count for the process-wide kernel cache. Eight shards keeps
-/// worst-case convoy length (every daemon worker asking for kernels on
-/// one shard) short without scattering the handful of hot entries.
-const KERNEL_CACHE_SHARDS: usize = 8;
-/// Per-shard bound. A grid run touches a few models × a few tolerances;
-/// 16 entries per shard (128 total) is an order of magnitude of headroom
-/// while still bounding a daemon fed adversarial model diversity.
-const KERNEL_CACHE_PER_SHARD: usize = 16;
-
-fn cache() -> &'static ShardedLru<Key, Arc<Vec<f64>>> {
-    static CACHE: OnceLock<ShardedLru<Key, Arc<Vec<f64>>>> = OnceLock::new();
-    CACHE.get_or_init(|| ShardedLru::new(KERNEL_CACHE_SHARDS, KERNEL_CACHE_PER_SHARD))
-}
-
-/// [`kernel_for`], memoized per process in a bounded [`ShardedLru`]. The
-/// first call for a given (quantized model, tolerance) pair derives the
-/// kernel; later calls — from any thread — clone an [`Arc`] of the
-/// cached taps while the entry stays resident. Evicted entries are
-/// simply re-derived on next use.
-///
-/// # Panics
-///
-/// Panics if `rel_tol` is not a positive finite number (as
-/// [`kernel_for`] does).
-pub fn cached_kernel_for(model: &PdnModel, rel_tol: f64) -> Arc<Vec<f64>> {
-    assert!(
-        rel_tol.is_finite() && rel_tol > 0.0,
-        "rel_tol must be positive and finite"
-    );
-    let key = key_for(model, rel_tol);
-    cache().get_or_insert_with(&key, || Arc::new(kernel_for(model, rel_tol)))
-}
-
-/// Number of distinct kernels currently cached (diagnostics / tests).
-pub fn cached_kernel_count() -> usize {
-    cache().len()
-}
-
-/// Live hit/miss/eviction/residency stats for the process-wide kernel
-/// cache (the serve daemon surfaces these at `/metrics`).
+/// Always [`CacheStats::default()`]: no PDN kernel cache exists. Every
+/// simulation path steps the state-space [`crate::PdnState`], so no
+/// convolution kernel is ever derived outside the reference oracles. The
+/// function remains only for the `pdn.kernel_cache_*` trace rows of the
+/// repository benchmark, and goes when a benchmark change drops them.
 pub fn kernel_cache_stats() -> CacheStats {
-    cache().stats()
-}
-
-/// Upper bound on resident kernels; [`cached_kernel_count`] never
-/// exceeds this.
-pub fn kernel_cache_capacity() -> usize {
-    cache().capacity()
+    CacheStats::default()
 }
 
 #[cfg(test)]
@@ -300,51 +215,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cache_returns_identical_kernel_and_dedupes() {
-        let m = PdnModel::paper_default().unwrap();
-        let a = cached_kernel_for(&m, 1e-6);
-        let b = cached_kernel_for(&m, 1e-6);
-        // Same allocation, not merely equal contents.
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, kernel_for(&m, 1e-6));
-    }
-
-    #[test]
-    fn distinct_tolerances_get_distinct_entries() {
-        let m = PdnModel::paper_default().unwrap();
-        let coarse = cached_kernel_for(&m, 1e-3);
-        let fine = cached_kernel_for(&m, 1e-9);
-        assert!(fine.len() >= coarse.len());
-        assert!(!Arc::ptr_eq(&coarse, &fine));
-    }
-
-    #[test]
-    fn quantization_folds_bisection_jitter() {
-        let m = PdnModel::paper_default().unwrap();
-        let a = cached_kernel_for(&m, 1e-6);
-        // Perturb L and C in the last mantissa bit: physically the same
-        // model, numerically a different f64.
-        let jittered = PdnModel::from_rlc(
-            m.r_dc(),
-            f64::from_bits(m.inductance().to_bits() ^ 1),
-            f64::from_bits(m.capacitance().to_bits() ^ 1),
-            m.clock_hz(),
-        )
-        .unwrap();
-        let b = cached_kernel_for(&jittered, 1e-6);
-        assert!(Arc::ptr_eq(&a, &b), "last-bit jitter must share the entry");
-    }
-
-    #[test]
-    fn distinct_models_do_not_collide() {
-        let m = PdnModel::paper_default().unwrap();
-        let scaled = m.scaled(3.0).unwrap();
-        let a = cached_kernel_for(&m, 1e-6);
-        let b = cached_kernel_for(&scaled, 1e-6);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(*a, *b);
-        assert!(cached_kernel_count() >= 2);
-        assert!(cached_kernel_count() <= kernel_cache_capacity());
+    fn kernel_cache_stats_is_the_zero_stub() {
+        assert_eq!(kernel_cache_stats(), CacheStats::default());
     }
 
     #[test]

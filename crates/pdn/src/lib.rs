@@ -23,8 +23,8 @@
 //! paper's intuition figures ([`waveform`]), supply-voltage emergency
 //! detection and histograms ([`emergency`]), spectrum analysis used by the
 //! dI/dt stressmark auto-tuner ([`spectrum`]), the ITRS-2001 impedance-trend
-//! data behind the paper's Figure 1 ([`itrs`]), a process-wide memoization
-//! of derived convolution kernels ([`cache`]), and a multi-quadrant
+//! data behind the paper's Figure 1 ([`itrs`]), the bounded sharded LRU the
+//! threshold-solution memo runs on ([`cache`]), and a multi-quadrant
 //! extension of the model ([`grid`]).
 //!
 //! # Example
@@ -69,7 +69,7 @@ pub mod state_space;
 pub mod supply;
 pub mod waveform;
 
-pub use cache::{cached_kernel_for, kernel_cache_stats, CacheStats, ShardedLru};
+pub use cache::{kernel_cache_stats, CacheStats, ShardedLru};
 pub use emergency::{figure10_histogram, EmergencyReport, VoltageMonitor};
 pub use response::{FrequencyResponse, ResponseMetrics, StepResponse};
 pub use second_order::{PdnError, PdnModel, PdnModelBuilder};

@@ -1,13 +1,11 @@
 //! The [`Supply`] abstraction: anything that turns a per-cycle load
 //! current into a per-cycle die voltage.
 //!
-//! The second-order stepper ([`crate::PdnState`]), the detailed ladder
-//! network ([`crate::ladder::LadderState`]), and the reference convolver
-//! ([`crate::convolve::Convolver`]) all implement it, so controllers and
-//! replay harnesses can be written once and validated against every level
-//! of supply-network detail.
+//! The second-order stepper ([`crate::PdnState`]) and the detailed ladder
+//! network ([`crate::ladder::LadderState`]) both implement it, so
+//! controllers and replay harnesses can be written once and validated
+//! against either level of supply-network detail.
 
-use crate::convolve::Convolver;
 use crate::ladder::LadderState;
 use crate::state_space::PdnState;
 
@@ -39,40 +37,36 @@ impl Supply for LadderState {
     }
 }
 
-impl Supply for Convolver {
-    fn step_supply(&mut self, i_load: f64) -> f64 {
-        self.step(i_load)
-    }
-
-    fn nominal(&self) -> f64 {
-        self.voltage_nominal()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolve::kernel_for;
+    use crate::convolve::{convolve_full, kernel_for};
     use crate::ladder::LadderModel;
     use crate::PdnModel;
 
+    fn load(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|k| if k % 60 < 30 { 40.0 } else { 0.0 })
+            .collect()
+    }
+
     fn drive<S: Supply>(mut s: S, n: usize) -> f64 {
-        let mut min = f64::MAX;
-        for k in 0..n {
-            let i = if k % 60 < 30 { 40.0 } else { 0.0 };
-            min = min.min(s.step_supply(i));
-        }
-        min
+        load(n)
+            .into_iter()
+            .map(|i| s.step_supply(i))
+            .fold(f64::MAX, f64::min)
     }
 
     #[test]
     fn all_supplies_are_drivable_through_the_trait() {
         let m = PdnModel::paper_default().unwrap();
         let ss = drive(m.discretize(), 600);
-        let conv = drive(Convolver::new(kernel_for(&m, 1e-9), m.v_nominal()), 600);
+        let conv = convolve_full(&kernel_for(&m, 1e-9), &load(600), m.v_nominal())
+            .into_iter()
+            .fold(f64::MAX, f64::min);
         assert!(
             (ss - conv).abs() < 1e-6,
-            "state-space {ss} vs convolver {conv}"
+            "state-space {ss} vs convolution {conv}"
         );
 
         let ladder = LadderModel::typical_three_stage();

@@ -1,79 +1,13 @@
-//! Concurrency oracle for the bounded sharded-LRU kernel cache.
+//! Concurrency oracle for the bounded sharded LRU behind the
+//! threshold-solution memo.
 //!
-//! The serve daemon shares one kernel cache across all workers, so two
-//! properties carry the determinism contract under load:
-//!
-//! 1. **Bitwise identity** — whatever a thread gets from
-//!    `cached_kernel_for` must be bitwise-identical to a fresh
-//!    single-threaded derivation for that model class, no matter how
-//!    many threads race the first derivation or how much
-//!    quantization-level jitter their model parameters carry.
-//! 2. **Bounded residency** — the cache never holds more entries than
-//!    its configured capacity, no matter how many distinct model
-//!    classes are pushed through it.
+//! The serve daemon shares the memo across all workers, so its bound
+//! must hold while many threads insert at once, not only after they
+//! finish.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use voltctl_pdn::cache::{
-    cached_kernel_count, cached_kernel_for, kernel_cache_capacity, ShardedLru,
-};
-use voltctl_pdn::convolve::kernel_for;
-use voltctl_pdn::PdnModel;
-
-/// Perturbs the low mantissa bits of a model's L and C — inside the
-/// quantization quantum, so every jittered twin must fold onto the same
-/// cache entry.
-fn jittered(base: &PdnModel, salt: u64) -> PdnModel {
-    PdnModel::from_rlc(
-        base.r_dc(),
-        f64::from_bits(base.inductance().to_bits() ^ (salt % 8)),
-        f64::from_bits(base.capacitance().to_bits() ^ (salt / 8 % 8)),
-        base.clock_hz(),
-    )
-    .expect("sub-quantum jitter keeps the model valid")
-}
-
-#[test]
-fn eight_thread_hammer_returns_bitwise_identical_kernels() {
-    let base = PdnModel::paper_default().unwrap();
-    // Two model classes x two tolerances, hammered concurrently with
-    // per-thread jitter. Fresh derivations (the oracle) computed once,
-    // single-threaded, up front.
-    let scaled = base.scaled(2.0).unwrap();
-    let classes: Vec<(PdnModel, f64, Vec<f64>)> = [(base, 1e-5), (scaled, 1e-7)]
-        .into_iter()
-        .map(|(m, tol)| {
-            let fresh = kernel_for(&m, tol);
-            (m, tol, fresh)
-        })
-        .collect();
-    let classes = Arc::new(classes);
-
-    let mismatches = Arc::new(AtomicUsize::new(0));
-    std::thread::scope(|scope| {
-        for thread in 0..8u64 {
-            let classes = Arc::clone(&classes);
-            let mismatches = Arc::clone(&mismatches);
-            scope.spawn(move || {
-                for round in 0..32u64 {
-                    for (model, tol, fresh) in classes.iter() {
-                        let twin = jittered(model, thread * 131 + round);
-                        let cached = cached_kernel_for(&twin, *tol);
-                        if *cached != *fresh {
-                            mismatches.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(
-        mismatches.load(Ordering::Relaxed),
-        0,
-        "every concurrent lookup must be bitwise-identical to a fresh derivation"
-    );
-    assert!(cached_kernel_count() <= kernel_cache_capacity());
-}
+use voltctl_pdn::ShardedLru;
 
 #[test]
 fn eviction_never_exceeds_the_configured_bound_under_contention() {
@@ -103,26 +37,4 @@ fn eviction_never_exceeds_the_configured_bound_under_contention() {
     });
     assert_eq!(violations.load(Ordering::Relaxed), 0);
     assert!(lru.len() <= capacity);
-}
-
-#[test]
-fn cached_and_fresh_kernels_agree_after_eviction_churn() {
-    // Push enough distinct classes through the shared cache to force
-    // evictions, then verify a re-derived (possibly evicted) class is
-    // still served bitwise-correct.
-    let base = PdnModel::paper_default().unwrap();
-    let probe_tol = 3e-4;
-    let fresh = kernel_for(&base, probe_tol);
-    assert_eq!(*cached_kernel_for(&base, probe_tol), fresh);
-    // Churn: many tolerances on one model produce many distinct keys.
-    for i in 0..(kernel_cache_capacity() + 8) {
-        let tol = 1e-2 / (i as f64 + 1.0);
-        let _ = cached_kernel_for(&base, tol);
-        assert!(cached_kernel_count() <= kernel_cache_capacity());
-    }
-    assert_eq!(
-        *cached_kernel_for(&base, probe_tol),
-        fresh,
-        "a re-derived entry must match its pre-eviction bytes"
-    );
 }

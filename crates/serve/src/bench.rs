@@ -226,7 +226,7 @@ pub fn run_bench(opts: &BenchOpts) -> Result<BenchReport, String> {
     };
 
     // Warm both sides' process-wide caches (calibration, threshold
-    // solves, kernel derivations, stressmark tuning) so neither side
+    // solves, stressmark tuning) so neither side
     // pays first-touch costs inside the measured window.
     let distinct: Vec<&str> = {
         let mut seen = Vec::new();
@@ -303,7 +303,6 @@ pub fn run_bench(opts: &BenchOpts) -> Result<BenchReport, String> {
     let ratio = batch_ns / serve_ns;
     let point = |path: &'static str, wall_ns: f64| BenchPoint {
         path,
-        kernel_taps: 0,
         cycles: cells_total,
         wall_ns,
         best_ns: wall_ns,

@@ -13,10 +13,10 @@
 //! * **Scrape-derived** — values that already have a single source of
 //!   truth and are merely *read* at scrape time: queue depth and job
 //!   state counts from the [`JobTable`](crate::job::JobTable), and
-//!   hit/miss/eviction stats from the two process-wide caches (the
-//!   `voltctl-pdn` kernel cache and the `voltctl-exp` threshold-solve
-//!   memo). Deriving them at scrape keeps the job table the sole owner
-//!   of queue accounting (no drift between `/stats` and `/metrics`).
+//!   hit/miss/eviction stats from the process-wide `voltctl-exp`
+//!   threshold-solve memo. Deriving them at scrape keeps the job table
+//!   the sole owner of queue accounting (no drift between `/stats` and
+//!   `/metrics`).
 //!
 //! Label cardinality is bounded by construction: routes are normalized
 //! to the fixed template set in [`route_label`] before labeling, status
@@ -28,7 +28,6 @@ use crate::job::Stats;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Duration;
-use voltctl_pdn::CacheStats;
 use voltctl_telemetry::registry::{Gauge, Histogram, Registry};
 
 /// Every metric family `GET /metrics` declares, in exposition order.
@@ -163,14 +162,9 @@ impl ServeMetrics {
     }
 }
 
-/// One scrape-derived exposition line with a single `cache` label.
-fn cache_line(out: &mut String, family: &str, cache: &str, value: u64) {
-    out.push_str(&format!("{family}{{cache=\"{cache}\"}} {value}\n"));
-}
-
 /// Renders the scrape-derived families: queue/job-state gauges from the
-/// job table's [`Stats`] and hit/miss/eviction counters for both
-/// process-wide caches.
+/// job table's [`Stats`] and hit/miss/eviction counters for the
+/// threshold-solve memo, labelled `cache="solve"`.
 pub fn render_scrape_derived(stats: &Stats) -> String {
     let mut out = String::new();
     out.push_str("# HELP voltctl_serve_queue_depth Jobs currently queued\n");
@@ -208,48 +202,41 @@ pub fn render_scrape_derived(stats: &Stats) -> String {
         ));
     }
 
-    let caches: [(&str, CacheStats); 2] = [
-        ("kernel", voltctl_pdn::kernel_cache_stats()),
-        ("solve", voltctl_exp::solve_cache_stats()),
-    ];
-    for (family, kind, help, pick) in [
+    let solve = voltctl_exp::solve_cache_stats();
+    for (family, kind, help, value) in [
         (
             "voltctl_cache_hits_total",
             "counter",
             "Cache lookups that found a resident entry",
-            0usize,
+            solve.hits,
         ),
         (
             "voltctl_cache_misses_total",
             "counter",
             "Cache lookups that had to derive",
-            1,
+            solve.misses,
         ),
         (
             "voltctl_cache_evictions_total",
             "counter",
             "Entries dropped at the shard bound",
-            2,
+            solve.evictions,
         ),
-        ("voltctl_cache_entries", "gauge", "Resident entries", 3),
+        (
+            "voltctl_cache_entries",
+            "gauge",
+            "Resident entries",
+            solve.len as u64,
+        ),
         (
             "voltctl_cache_capacity",
             "gauge",
             "Maximum resident entries",
-            4,
+            solve.capacity as u64,
         ),
     ] {
         out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
-        for (name, stats) in &caches {
-            let value = match pick {
-                0 => stats.hits,
-                1 => stats.misses,
-                2 => stats.evictions,
-                3 => stats.len as u64,
-                _ => stats.capacity as u64,
-            };
-            cache_line(&mut out, family, name, value);
-        }
+        out.push_str(&format!("{family}{{cache=\"solve\"}} {value}\n"));
     }
     out
 }

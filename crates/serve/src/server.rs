@@ -433,14 +433,7 @@ fn stats_response(table: &Arc<JobTable>, query: &str) -> Response {
         return Response::json(200, base);
     }
     let metrics = crate::metrics::global();
-    let kernel = voltctl_pdn::kernel_cache_stats();
     let solve = voltctl_exp::solve_cache_stats();
-    let cache_json = |s: &voltctl_pdn::CacheStats| {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{},\"capacity\":{}}}",
-            s.hits, s.misses, s.evictions, s.len, s.capacity
-        )
-    };
     let log_path = match table.log().path() {
         Some(p) => escape(&p.display().to_string()),
         None => "null".to_string(),
@@ -448,12 +441,16 @@ fn stats_response(table: &Arc<JobTable>, query: &str) -> Response {
     let mut body = base;
     body.pop(); // replace the closing brace with the verbose tail
     body.push_str(&format!(
-        ",\"workers\":{},\"workers_busy\":{},\"caches\":{{\"kernel\":{},\"solve\":{}}},\
+        ",\"workers\":{},\"workers_busy\":{},\"caches\":{{\"solve\":\
+         {{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{},\"capacity\":{}}}}},\
          \"event_log\":{}}}",
         metrics.workers.get(),
         metrics.workers_busy.get(),
-        cache_json(&kernel),
-        cache_json(&solve),
+        solve.hits,
+        solve.misses,
+        solve.evictions,
+        solve.len,
+        solve.capacity,
         log_path
     ));
     Response::json(200, body)

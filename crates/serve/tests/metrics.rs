@@ -104,16 +104,27 @@ fn metrics_exposition_and_event_log_cover_a_job_lifecycle() {
     for key in ["workers", "workers_busy", "caches", "event_log"] {
         assert!(verbose.get(key).is_some(), "verbose stats must carry {key}");
     }
-    for cache in ["kernel", "solve"] {
-        let stats = verbose.get("caches").and_then(|c| c.get(cache));
-        let stats = stats.unwrap_or_else(|| panic!("caches must report {cache}"));
-        for key in ["hits", "misses", "evictions", "len", "capacity"] {
-            assert!(
-                stats.get(key).and_then(Json::as_f64).is_some(),
-                "cache {cache} must report numeric {key}"
-            );
-        }
+    let caches = verbose
+        .get("caches")
+        .expect("verbose stats must carry caches");
+    let solve = caches.get("solve").expect("caches must report solve");
+    for key in ["hits", "misses", "evictions", "len", "capacity"] {
+        assert!(
+            solve.get(key).and_then(Json::as_f64).is_some(),
+            "cache solve must report numeric {key}"
+        );
     }
+    // No PDN kernel cache exists, so neither plane reports one.
+    assert!(
+        caches.get("kernel").is_none(),
+        "verbose stats must not carry caches.kernel"
+    );
+    assert!(
+        !exp.samples
+            .iter()
+            .any(|s| s.label("cache") == Some("kernel")),
+        "/metrics must not carry a cache=\"kernel\" series:\n{body}"
+    );
 
     // -- Request id threads from accept to terminal state. ------------
     let snap = request(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
