@@ -21,6 +21,7 @@
 //! This is verified by `tests/determinism.rs` (byte-identical reports at
 //! `--jobs 1` vs `--jobs 8`).
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -281,7 +282,8 @@ pub trait Scenario: Sync {
     /// Assembles the report from index-ordered cell results.
     fn render(&self, ctx: &Ctx, cells: &[CellResult]) -> String;
     /// Whether cells attach a flight recorder when `ctx.trace` is set.
-    /// `voltctl-exp list` marks these; `trace` on anything else fails.
+    /// `voltctl-exp list` marks these; on anything else `--trace` writes
+    /// no trace artifacts.
     fn trace_aware(&self) -> bool {
         false
     }
@@ -356,46 +358,37 @@ pub fn run_scenario(scenario: &dyn Scenario, ctx: &Ctx, jobs: usize) -> RunOutpu
 /// the render record wall-clock spans into `profiler` under folded
 /// stacks (`exp;<id>;grid;job<j>;<cell>`, `exp;<id>;merge`,
 /// `exp;<id>;render`). With [`NullProfiler`] the spans compile away and
-/// this *is* `run_scenario`.
+/// this *is* `run_scenario`. Both are the scenario driver
+/// ([`run_sharded`](crate::shard::run_sharded)) run without a
+/// checkpoint store.
 pub fn run_scenario_profiled<P: Profiler>(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
     profiler: &P,
 ) -> RunOutput {
-    let started = Instant::now();
-    let n = scenario.cells(ctx).len();
-    let jobs = jobs.max(1).min(n.max(1));
-    let results = run_cells_profiled(scenario, ctx, jobs, 0..n, profiler);
-    let mut out = assemble_run_profiled(scenario, ctx, results, jobs, profiler);
-    out.elapsed = started.elapsed();
-    out
+    let opts = crate::shard::ShardOpts::default();
+    crate::shard::run_sharded(scenario, ctx, jobs, &opts, profiler, |_| {
+        ControlFlow::Continue(())
+    })
+    .expect("a run that never breaks cannot fail")
+    .output
 }
 
 /// Runs a contiguous sub-range of a scenario's grid on up to `jobs`
-/// worker threads and returns the cell results **in grid order**.
+/// worker threads and returns the cell results **in grid order**, one
+/// `exp;<id>;grid;job<j>;<cell>` span per cell.
 ///
-/// This is the resumable primitive under [`run_scenario`]: a sharded run
-/// calls it once per shard (checkpointing each returned slice) and then
-/// feeds the concatenation to [`assemble_run`], which performs exactly
-/// the merge+render a single-shot run would — so shard-then-merge output
-/// is byte-identical to single-shot at any `jobs` value.
+/// This is the resumable primitive under the scenario driver: it runs
+/// once per shard, and the concatenated shards go to
+/// [`assemble_run_profiled`], which merges and renders them the same way
+/// at any shard count — so shard-then-merge output is byte-identical to
+/// single-shot at any `jobs` value.
 ///
 /// # Panics
 ///
 /// Panics when `range` exceeds the scenario's grid.
-pub fn run_cells(
-    scenario: &dyn Scenario,
-    ctx: &Ctx,
-    jobs: usize,
-    range: std::ops::Range<usize>,
-) -> Vec<CellResult> {
-    run_cells_profiled(scenario, ctx, jobs, range, &NullProfiler)
-}
-
-/// [`run_cells`] with self-profiling (same span layout as
-/// [`run_scenario_profiled`]'s grid stage).
-pub fn run_cells_profiled<P: Profiler>(
+pub(crate) fn run_cells_profiled<P: Profiler>(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
@@ -607,26 +600,15 @@ fn collect_slots(
         .collect()
 }
 
-/// Merges grid-ordered cell results and renders the report — the back
-/// half of [`run_scenario`], exposed so sharded runs (which obtain
-/// their results from [`run_cells`] calls and checkpoint restores) can
-/// produce output byte-identical to a single-shot run.
+/// Merges grid-ordered cell results and renders the report (with
+/// `exp;<id>;merge` and `exp;<id>;render` spans) — the back half of
+/// every run, whether its results were computed or restored from shard
+/// checkpoints.
 ///
 /// `results` must cover the whole grid in grid order. `elapsed` on the
-/// returned output covers only merge+render; callers tracking a longer
-/// wall clock overwrite it.
-pub fn assemble_run(
-    scenario: &dyn Scenario,
-    ctx: &Ctx,
-    results: Vec<CellResult>,
-    jobs: usize,
-) -> RunOutput {
-    assemble_run_profiled(scenario, ctx, results, jobs, &NullProfiler)
-}
-
-/// [`assemble_run`] with self-profiling (`exp;<id>;merge` and
-/// `exp;<id>;render` spans).
-pub fn assemble_run_profiled<P: Profiler>(
+/// returned output covers only merge+render; the driver overwrites it
+/// with the whole run's wall clock.
+pub(crate) fn assemble_run_profiled<P: Profiler>(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     results: Vec<CellResult>,

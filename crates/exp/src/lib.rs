@@ -30,8 +30,8 @@ pub mod trace;
 
 pub use bench::{BenchOpts, BenchPoint, BenchSuite};
 pub use engine::{
-    assemble_run, default_jobs, run_cells, run_scenario, run_scenario_profiled, CellResult, Ctx,
-    RunOutput, Runtime, Scenario, TraceSpec,
+    default_jobs, run_scenario, run_scenario_profiled, CellResult, Ctx, RunOutput, Runtime,
+    Scenario, TraceSpec,
 };
 pub use golden::{GoldenOpts, GoldenOutcome, Verdict};
 pub use harness::{
@@ -45,5 +45,5 @@ pub use scale::{env_scale, parse_scale, scaled_budget, MIN_CYCLES};
 pub use scenarios::{find, listing, registry};
 pub use shard::{
     checkpoint_file, ctx_fingerprint, decode_checkpoint, encode_checkpoint, plan_shards,
-    run_sharded, try_load_shard, ShardMeta, ShardOpts, ShardRun,
+    run_sharded, ShardDone, ShardMeta, ShardOpts, ShardRun,
 };

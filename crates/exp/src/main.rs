@@ -3,26 +3,25 @@
 //! ```text
 //! voltctl-exp list
 //! voltctl-exp run <id>... [--jobs N] [--scale X] [--smoke] [--trace]
+//!                         [--window W] [--trace-out DIR] [--min-captures N]
 //!                         [--telemetry MODE] [--telemetry-out DIR]
 //!                         [--shards K] [--resume DIR] [--checkpoint-dir DIR]
 //! voltctl-exp run --all [same flags]
-//! voltctl-exp trace <id>... [--window W] [--out DIR] [--jobs N]
-//!                           [--scale X] [--smoke] [--min-captures N]
 //! voltctl-exp bench [--smoke] [--out DIR] [--compare OLD]
 //!                   [--tolerance FRAC]
 //! voltctl-exp golden [--bless] [--jobs N] [--dir DIR] [id...]
 //! voltctl-exp snapshot inspect <file>...
 //! ```
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
+use std::slice::Iter;
 use std::time::Instant;
-use voltctl_exp::engine::{
-    default_jobs, run_scenario, run_scenario_profiled, Ctx, Scenario, TraceSpec,
-};
+use voltctl_exp::engine::{default_jobs, Ctx, Scenario, TraceSpec};
 use voltctl_exp::profile::{self, Profiler, SelfProfiler};
 use voltctl_exp::scenarios::{find, registry};
 use voltctl_exp::telemetry::{default_out_dir, env_mode, export_run, parse_mode, Mode};
-use voltctl_exp::{parse_scale, run_sharded, Manifest, ShardOpts, TextTable};
+use voltctl_exp::{parse_scale, run_sharded, Manifest, ShardDone, ShardOpts, TextTable};
 
 const USAGE: &str = "\
 voltctl-exp — unified experiment runner
@@ -31,7 +30,6 @@ USAGE:
     voltctl-exp list
     voltctl-exp run <id>... [OPTIONS]
     voltctl-exp run --all [OPTIONS]
-    voltctl-exp trace <id>... [TRACE OPTIONS]
     voltctl-exp bench [--smoke] [--out <DIR>] [--compare <OLD>]
                       [--tolerance <FRAC>]
     voltctl-exp golden [--bless] [--jobs <N>] [--dir <DIR>] [<id>...]
@@ -43,8 +41,15 @@ OPTIONS:
     --scale <X>           cycle-budget scale factor (default: 1.0,
                           or VOLTCTL_SCALE)
     --smoke               tiny budgets, narrative checks off (CI plumbing)
-    --trace               attach the emergency flight recorder and export
-                          trace artifacts after each scenario
+    --trace               attach the emergency flight recorder to
+                          trace-aware scenarios and write
+                          <id>.trace.json (Perfetto-loadable) and
+                          <id>.forensics.txt, never overwriting
+    --window <W>          flight-recorder window in cycles kept either
+                          side of each emergency crossing (default: 96);
+                          implies --trace
+    --trace-out <DIR>     trace artifact directory (default: results/trace)
+    --min-captures <N>    fail unless at least N emergencies were captured
     --telemetry <MODE>    off | summary | jsonl | csv
                           (default: VOLTCTL_TELEMETRY or off)
     --telemetry-out <DIR> snapshot directory (default: results/telemetry)
@@ -61,16 +66,6 @@ OPTIONS:
                           rerun and are re-checkpointed)
     --checkpoint-dir <DIR> where new checkpoints land (default: the
                           --resume directory, else results/checkpoints)
-
-TRACE OPTIONS:
-    --window <W>          flight-recorder window in cycles kept either
-                          side of each emergency crossing (default: 96)
-    --out <DIR>           artifact directory (default: results/trace);
-                          writes <id>.trace.json (Perfetto-loadable) and
-                          <id>.forensics.txt, never overwriting
-    --jobs/--scale/--smoke as for run
-    --min-captures <N>    fail unless at least N emergencies captured
-                          ('stressmark' is an alias for fig08_stressmark)
 
 BENCH OPTIONS:
     --smoke               tiny iteration budgets (CI plumbing check)
@@ -103,6 +98,8 @@ struct RunArgs {
     jobs: usize,
     ctx: Ctx,
     mode: Mode,
+    trace_out: PathBuf,
+    min_captures: usize,
     profile: bool,
     profile_out: PathBuf,
     shards: Option<usize>,
@@ -111,7 +108,7 @@ struct RunArgs {
 }
 
 impl RunArgs {
-    /// Whether this run goes through the shard planner at all.
+    /// Whether this run keeps shard checkpoints at all.
     fn sharded(&self) -> bool {
         self.shards.is_some() || self.resume.is_some()
     }
@@ -136,6 +133,29 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of the flag `arg`: the text after `=` in `--flag=value`,
+/// else the next argument.
+fn flag_value(arg: &str, rest: &mut Iter<'_, String>) -> String {
+    match arg.split_once('=') {
+        Some((_, value)) => value.to_string(),
+        None => rest
+            .next()
+            .unwrap_or_else(|| fail(&format!("{arg} needs a value")))
+            .clone(),
+    }
+}
+
+/// The value of the flag `arg` (see [`flag_value`]), which must be a
+/// positive integer.
+fn positive_value(arg: &str, rest: &mut Iter<'_, String>) -> usize {
+    let raw = flag_value(arg, rest);
+    let name = arg.split('=').next().unwrap_or(arg);
+    raw.parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| fail(&format!("{name} {raw:?} is not a positive integer")))
+}
+
 fn parse_run_args(args: &[String]) -> RunArgs {
     let mut out = RunArgs {
         ids: Vec::new(),
@@ -143,6 +163,8 @@ fn parse_run_args(args: &[String]) -> RunArgs {
         jobs: default_jobs(),
         ctx: Ctx::new(voltctl_exp::env_scale()),
         mode: env_mode(),
+        trace_out: voltctl_exp::trace::default_out_dir(),
+        min_captures: 0,
         profile: false,
         profile_out: voltctl_check::persist::workspace_root()
             .join("results")
@@ -155,51 +177,38 @@ fn parse_run_args(args: &[String]) -> RunArgs {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| -> String {
-            if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-                return v.to_string();
-            }
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-                .clone()
-        };
         match arg.split('=').next().unwrap_or(arg.as_str()) {
             "--all" => out.all = true,
             "--smoke" => out.ctx.smoke = true,
-            "--trace" => out.ctx.trace = Some(TraceSpec::default()),
-            "--jobs" => {
-                let raw = flag_value("--jobs");
-                out.jobs = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail(&format!("--jobs {raw:?} is not a positive integer")));
+            "--trace" => {
+                out.ctx.trace.get_or_insert_with(TraceSpec::default);
             }
+            "--window" => {
+                out.ctx.trace = Some(TraceSpec {
+                    window: positive_value(arg, &mut it),
+                })
+            }
+            "--trace-out" => out.trace_out = PathBuf::from(flag_value(arg, &mut it)),
+            "--min-captures" => {
+                let raw = flag_value(arg, &mut it);
+                out.min_captures = raw
+                    .parse::<usize>()
+                    .unwrap_or_else(|_| fail(&format!("--min-captures {raw:?} is not an integer")));
+            }
+            "--jobs" => out.jobs = positive_value(arg, &mut it),
             "--scale" => {
-                let raw = flag_value("--scale");
+                let raw = flag_value(arg, &mut it);
                 out.ctx.scale =
                     parse_scale(&raw).unwrap_or_else(|e| fail(&format!("--scale {raw:?}: {e}")));
             }
-            "--telemetry" => out.mode = parse_mode(&flag_value("--telemetry")),
-            "--telemetry-out" => {
-                out.ctx.telemetry_out = PathBuf::from(flag_value("--telemetry-out"))
-            }
+            "--telemetry" => out.mode = parse_mode(&flag_value(arg, &mut it)),
+            "--telemetry-out" => out.ctx.telemetry_out = PathBuf::from(flag_value(arg, &mut it)),
             "--profile" => out.profile = true,
-            "--profile-out" => out.profile_out = PathBuf::from(flag_value("--profile-out")),
-            "--shards" => {
-                let raw = flag_value("--shards");
-                out.shards = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| {
-                            fail(&format!("--shards {raw:?} is not a positive integer"))
-                        }),
-                );
-            }
-            "--resume" => out.resume = Some(PathBuf::from(flag_value("--resume"))),
+            "--profile-out" => out.profile_out = PathBuf::from(flag_value(arg, &mut it)),
+            "--shards" => out.shards = Some(positive_value(arg, &mut it)),
+            "--resume" => out.resume = Some(PathBuf::from(flag_value(arg, &mut it))),
             "--checkpoint-dir" => {
-                out.checkpoint_dir = Some(PathBuf::from(flag_value("--checkpoint-dir")))
+                out.checkpoint_dir = Some(PathBuf::from(flag_value(arg, &mut it)))
             }
             _ if arg.starts_with("--") => fail(&format!("unknown flag {arg:?}")),
             _ => out.ids.push(arg.clone()),
@@ -223,32 +232,17 @@ fn cmd_list() {
     }
     print!("{}", t.render());
     println!("\nrun one with: voltctl-exp run <id> [--jobs N] [--scale X]");
-    println!("trace-aware scenarios (trace=yes) also accept: voltctl-exp trace <id>");
+    println!("trace-aware scenarios (trace=yes) also accept: voltctl-exp run <id> --trace");
 }
 
 fn cmd_golden(args: &[String]) {
     let mut opts = voltctl_exp::GoldenOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| -> String {
-            if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-                return v.to_string();
-            }
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-                .clone()
-        };
         match arg.split('=').next().unwrap_or(arg.as_str()) {
             "--bless" => opts.bless = true,
-            "--jobs" => {
-                let raw = flag_value("--jobs");
-                opts.jobs = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail(&format!("--jobs {raw:?} is not a positive integer")));
-            }
-            "--dir" => opts.dir = PathBuf::from(flag_value("--dir")),
+            "--jobs" => opts.jobs = positive_value(arg, &mut it),
+            "--dir" => opts.dir = PathBuf::from(flag_value(arg, &mut it)),
             _ if arg.starts_with("--") => fail(&format!("unknown golden flag {arg:?}")),
             _ => opts.ids.push(arg.clone()),
         }
@@ -285,7 +279,6 @@ fn cmd_run(args: &[String]) {
     let profiler: Option<&'static SelfProfiler> = run.profile.then(profile::install_global);
 
     let started = Instant::now();
-    let trace_out = voltctl_exp::trace::default_out_dir();
     let mut telemetry_manifest = Manifest::new(format!("run --telemetry {:?}", run.mode));
     telemetry_manifest.ctx(&run.ctx, run.jobs);
     let mut trace_manifest = Manifest::new("run --trace");
@@ -294,7 +287,7 @@ fn cmd_run(args: &[String]) {
     let shard_opts = ShardOpts {
         shards: run.shards,
         resume: run.resume.clone(),
-        dir: run.checkpoint_dir(),
+        dir: run.sharded().then(|| run.checkpoint_dir()),
     };
     let mut checkpoint_manifest = Manifest::new(match (run.shards, &run.resume) {
         (Some(k), _) => format!("run --shards {k}"),
@@ -303,43 +296,47 @@ fn cmd_run(args: &[String]) {
     });
     checkpoint_manifest.ctx(&run.ctx, run.jobs);
     let mut max_shards = 0usize;
+    let mut captures = 0usize;
+    // A checkpoint that cannot be written would silently lose resume
+    // safety, so the CLI stops there.
+    let stop_on_write_error = |done: &ShardDone| match &done.write_error {
+        Some(e) => ControlFlow::Break(e.clone()),
+        None => ControlFlow::Continue(()),
+    };
 
     for (k, scenario) in scenarios.iter().enumerate() {
         if k > 0 {
             println!();
         }
-        let out = if run.sharded() {
-            let sharded = match profiler {
-                Some(p) => run_sharded(*scenario, &run.ctx, run.jobs, &shard_opts, p),
-                None => run_sharded(
-                    *scenario,
-                    &run.ctx,
-                    run.jobs,
-                    &shard_opts,
-                    &voltctl_exp::NullProfiler,
-                ),
-            }
-            .unwrap_or_else(|msg| fail(&msg));
+        let (ctx, jobs, opts) = (&run.ctx, run.jobs, &shard_opts);
+        let sharded = match profiler {
+            Some(p) => run_sharded(*scenario, ctx, jobs, opts, p, stop_on_write_error),
+            None => run_sharded(
+                *scenario,
+                ctx,
+                jobs,
+                opts,
+                &voltctl_exp::NullProfiler,
+                stop_on_write_error,
+            ),
+        }
+        .unwrap_or_else(|msg| fail(&msg));
+        if let Some(dir) = &shard_opts.dir {
             eprintln!(
                 "[voltctl-exp] {}: {} shard(s) — {} loaded from checkpoints, {} checkpoint(s) written under {}",
                 scenario.id(),
                 sharded.shards,
                 sharded.loaded,
                 sharded.written.len(),
-                shard_opts.dir.display()
+                dir.display()
             );
             max_shards = max_shards.max(sharded.shards);
             checkpoint_manifest.scenario(scenario.id());
             for path in &sharded.written {
                 checkpoint_manifest.artifact(path);
             }
-            sharded.output
-        } else {
-            match profiler {
-                Some(p) => run_scenario_profiled(*scenario, &run.ctx, run.jobs, p),
-                None => run_scenario(*scenario, &run.ctx, run.jobs),
-            }
-        };
+        }
+        let out = sharded.output;
         print!("{}", out.report);
         eprintln!(
             "[voltctl-exp] {}: {} cells on {} worker(s) in {:.2?}",
@@ -359,7 +356,8 @@ fn cmd_run(args: &[String]) {
             telemetry_manifest.artifact(&path);
         }
         if run.ctx.trace.is_some() && !out.trace.is_empty() {
-            match voltctl_exp::trace::export(&trace_out, scenario.id(), &out.trace) {
+            captures += out.trace.total_captures();
+            match voltctl_exp::trace::export(&run.trace_out, scenario.id(), &out.trace) {
                 Ok(a) => {
                     eprintln!(
                         "[voltctl-exp] trace {}: {} capture(s); wrote {} and {}",
@@ -402,11 +400,14 @@ fn cmd_run(args: &[String]) {
             manifest.shard_lineage(max_shards, run.resume.as_deref());
         }
     }
-    for (manifest, dir) in [
+    let mut manifests = vec![
         (&telemetry_manifest, &run.ctx.telemetry_out),
-        (&trace_manifest, &trace_out),
-        (&checkpoint_manifest, &shard_opts.dir),
-    ] {
+        (&trace_manifest, &run.trace_out),
+    ];
+    if let Some(dir) = &shard_opts.dir {
+        manifests.push((&checkpoint_manifest, dir));
+    }
+    for (manifest, dir) in manifests {
         if manifest.artifact_count() == 0 {
             continue;
         }
@@ -426,6 +427,15 @@ fn cmd_run(args: &[String]) {
             scenarios.len(),
             started.elapsed()
         );
+    }
+    if captures < run.min_captures {
+        eprintln!(
+            "voltctl-exp: captured {captures} emergenc{} across {} scenario(s), below --min-captures {}",
+            if captures == 1 { "y" } else { "ies" },
+            scenarios.len(),
+            run.min_captures
+        );
+        std::process::exit(1);
     }
 }
 
@@ -467,97 +477,16 @@ fn write_profile(p: &SelfProfiler, run: &RunArgs) {
     }
 }
 
-fn cmd_trace(args: &[String]) {
-    let mut opts = voltctl_exp::trace::TraceOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| -> String {
-            if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-                return v.to_string();
-            }
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-                .clone()
-        };
-        match arg.split('=').next().unwrap_or(arg.as_str()) {
-            "--smoke" => opts.smoke = true,
-            "--window" => {
-                let raw = flag_value("--window");
-                opts.window = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        fail(&format!("--window {raw:?} is not a positive integer"))
-                    });
-            }
-            "--jobs" => {
-                let raw = flag_value("--jobs");
-                opts.jobs = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail(&format!("--jobs {raw:?} is not a positive integer")));
-            }
-            "--scale" => {
-                let raw = flag_value("--scale");
-                opts.scale =
-                    parse_scale(&raw).unwrap_or_else(|e| fail(&format!("--scale {raw:?}: {e}")));
-            }
-            "--out" => opts.out = PathBuf::from(flag_value("--out")),
-            "--min-captures" => {
-                let raw = flag_value("--min-captures");
-                opts.min_captures = raw
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail(&format!("--min-captures {raw:?} is not an integer")));
-            }
-            _ if arg.starts_with("--") => fail(&format!("unknown trace flag {arg:?}")),
-            _ => opts.ids.push(arg.clone()),
-        }
-    }
-    if let Err(msg) = voltctl_exp::trace::run(&opts) {
-        eprintln!("voltctl-exp: trace failed: {msg}");
-        std::process::exit(1);
-    }
-}
-
 fn cmd_bench(args: &[String]) {
     let mut opts = voltctl_exp::BenchOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.split('=').next().unwrap_or(arg.as_str()) {
             "--smoke" => opts.smoke = true,
-            "--out" => {
-                let raw = arg
-                    .strip_prefix("--out=")
-                    .map(str::to_string)
-                    .unwrap_or_else(|| {
-                        it.next()
-                            .unwrap_or_else(|| fail("--out needs a value"))
-                            .clone()
-                    });
-                opts.out = PathBuf::from(raw);
-            }
-            "--compare" => {
-                let raw = arg
-                    .strip_prefix("--compare=")
-                    .map(str::to_string)
-                    .unwrap_or_else(|| {
-                        it.next()
-                            .unwrap_or_else(|| fail("--compare needs a value"))
-                            .clone()
-                    });
-                opts.compare = Some(PathBuf::from(raw));
-            }
+            "--out" => opts.out = PathBuf::from(flag_value(arg, &mut it)),
+            "--compare" => opts.compare = Some(PathBuf::from(flag_value(arg, &mut it))),
             "--tolerance" => {
-                let raw = arg
-                    .strip_prefix("--tolerance=")
-                    .map(str::to_string)
-                    .unwrap_or_else(|| {
-                        it.next()
-                            .unwrap_or_else(|| fail("--tolerance needs a value"))
-                            .clone()
-                    });
+                let raw = flag_value(arg, &mut it);
                 opts.tolerance = raw.parse().unwrap_or_else(|_| {
                     fail(&format!("--tolerance needs a fraction, got {raw:?}"))
                 });
@@ -606,7 +535,6 @@ fn main() {
             cmd_list();
         }
         Some("run") => cmd_run(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("golden") => cmd_golden(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),

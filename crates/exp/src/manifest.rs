@@ -278,7 +278,7 @@ mod tests {
         let artifact = dir.join("fig.trace.json");
         std::fs::write(&artifact, "{}").unwrap();
 
-        let mut m = Manifest::new("trace stressmark");
+        let mut m = Manifest::new("run --trace");
         m.scenario("fig08_stressmark")
             .wall(Duration::from_millis(1234))
             .artifact(&artifact);

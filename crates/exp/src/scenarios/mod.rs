@@ -48,7 +48,7 @@ pub fn find(id: &str) -> Option<&'static dyn Scenario> {
 
 /// The `voltctl-exp list` rows — `[id, runtime, cells, trace, title]` —
 /// sorted by id for scanability. The `trace` column marks trace-aware
-/// scenarios (`yes`: they accept `voltctl-exp trace` / `run --trace`).
+/// scenarios (`yes`: `run --trace` writes trace artifacts for them).
 /// The registry itself stays in paper order (the execution order of
 /// `run --all`); only the listing is sorted.
 pub fn listing(ctx: &crate::engine::Ctx) -> Vec<[String; 5]> {

@@ -1,23 +1,30 @@
-//! Sharded, resumable scenario execution (`run --shards K` /
-//! `run --resume DIR`).
+//! The scenario driver: every grid a `voltctl-exp run` or a daemon job
+//! runs goes through [`run_sharded`], checkpointed (`run --shards K` /
+//! `run --resume DIR`, daemon jobs with checkpoints on) or not (a plain
+//! `run`).
 //!
 //! A shard is a contiguous slice of a scenario's grid. [`plan_shards`]
 //! splits the grid into K slices whose sizes differ by at most one;
 //! each completed shard's [`CellResult`]s are serialized into a
-//! [`SnapshotKind::Shard`] container (one `.snap` file per shard,
-//! written through the never-overwrite
-//! [`write_bytes_fresh`](voltctl_telemetry::export::write_bytes_fresh)
-//! writer), and the final merge feeds the concatenated results to
-//! [`assemble_run`] — exactly the merge+render a single-shot run
-//! performs, so the report, telemetry, and trace artifacts are
-//! byte-identical to `run` without `--shards` at any `--jobs` value.
+//! [`SnapshotKind::Shard`] container (one `.snap` file per shard under
+//! its canonical [`checkpoint_file`] name, written to a temporary
+//! sibling and renamed into place), and the final merge feeds the
+//! concatenated results to the engine's grid-order merge and render —
+//! so the report, telemetry, and trace artifacts are byte-identical at
+//! any shard count and any `--jobs` value.
 //!
 //! A resumed run ([`ShardOpts::resume`]) loads every shard whose
 //! canonical checkpoint file is present and valid — matching scenario,
-//! shard geometry, and [`ctx_fingerprint`] — and recomputes the rest.
-//! Invalid checkpoints (truncated, corrupted, version-skewed, or taken
-//! under a different context) are *rejected and recomputed*, never
+//! shard geometry, and [`ctx_fingerprint`] — and recomputes the rest,
+//! writing the recomputed shard back over the rejected file. Invalid
+//! checkpoints (truncated, corrupted, version-skewed, or taken under a
+//! different context) are *rejected and recomputed*, never
 //! half-loaded: decoding is all-or-nothing per file.
+//!
+//! After each shard the driver hands a [`ShardDone`] to the caller's
+//! callback, which decides whether the run goes on: the CLI stops on a
+//! failed checkpoint write, the daemon logs it and stops only when its
+//! job is cancelled.
 //!
 //! Checkpoint layout (kind = shard, both sections at
 //! [`SHARD_SECTION_VERSION`]):
@@ -27,14 +34,14 @@
 //! | 1   | meta    | scenario id, shard index/count, cell range, grid size, ctx fingerprint + fields |
 //! | 2   | cells   | the shard's `CellResult`s (label, row, text, values, recorder, tracer) |
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use voltctl_snap::{
     ByteWriter, Pack, SnapError, SnapshotKind, SnapshotReader, SnapshotWriter, Unpack,
 };
-use voltctl_telemetry::export::write_bytes_fresh;
 
 use crate::engine::{assemble_run_profiled, run_cells_profiled, CellResult, Ctx, RunOutput};
 use crate::profile::Profiler;
@@ -84,8 +91,8 @@ pub fn ctx_fingerprint(ctx: &Ctx) -> u64 {
 }
 
 /// The canonical checkpoint file name for one shard of one scenario.
-/// Resume looks for exactly this name; the never-overwrite writer's
-/// `-N` suffixed copies from reruns are left alone.
+/// Resume reads exactly this name, and every checkpoint is written
+/// under it, replacing whatever was there.
 pub fn checkpoint_file(id: &str, shard: usize, shards: usize) -> String {
     format!("{id}.shard{shard}of{shards}.snap")
 }
@@ -293,23 +300,41 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(ShardMeta, Vec<CellResult>), S
     Ok((meta, cells))
 }
 
-/// How a sharded run should find and keep its checkpoints.
-#[derive(Debug, Clone)]
+/// How a run should find and keep its checkpoints.
+#[derive(Debug, Clone, Default)]
 pub struct ShardOpts {
     /// Shard count. `None` with a resume directory infers the count
     /// from the checkpoints found there (falling back to 1).
     pub shards: Option<usize>,
     /// Directory to load existing checkpoints from (`run --resume`).
     pub resume: Option<PathBuf>,
-    /// Directory newly computed shards are checkpointed into.
-    pub dir: PathBuf,
+    /// Directory newly computed shards are checkpointed into; `None`
+    /// keeps no checkpoints (a plain `run`).
+    pub dir: Option<PathBuf>,
 }
 
-/// The outcome of a sharded run: the merged output plus shard lineage
-/// for the provenance manifest.
+/// What the driver tells its caller after each shard.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardDone {
+    /// The shard just finished (0-based).
+    pub shard: usize,
+    /// Shards in the plan.
+    pub shards: usize,
+    /// Cells finished so far, this shard included.
+    pub cells_done: usize,
+    /// Cells in the whole grid.
+    pub cells_total: usize,
+    /// Whether the shard was loaded from a checkpoint.
+    pub resumed: bool,
+    /// Why the shard's checkpoint could not be written, if it could not.
+    pub write_error: Option<String>,
+}
+
+/// The outcome of a run: the merged output plus shard lineage for the
+/// provenance manifest.
 #[derive(Debug)]
 pub struct ShardRun {
-    /// The merged run output — byte-identical to a single-shot run.
+    /// The merged run output — byte-identical at any shard count.
     pub output: RunOutput,
     /// Shard count actually used.
     pub shards: usize,
@@ -340,10 +365,8 @@ fn infer_shards(dir: &Path, id: &str) -> Option<usize> {
 /// Loads one shard's checkpoint if its canonical file exists and its
 /// meta matches the expected geometry and context. Returns the cells on
 /// success, `None` (after a stderr warning for real mismatches) when
-/// the shard must be recomputed. Public so the serve daemon's job
-/// runner can resume crash-interrupted (or cancelled) jobs through the
-/// same validation path the CLI `--resume` flag uses.
-pub fn try_load_shard(dir: &Path, expected: &ShardMeta) -> Option<Vec<CellResult>> {
+/// the shard must be recomputed.
+fn try_load_shard(dir: &Path, expected: &ShardMeta) -> Option<Vec<CellResult>> {
     let path = dir.join(checkpoint_file(
         &expected.scenario,
         expected.shard,
@@ -383,22 +406,44 @@ pub fn try_load_shard(dir: &Path, expected: &ShardMeta) -> Option<Vec<CellResult
     }
 }
 
-/// Runs `scenario` in shards: each shard's cells fan out across `jobs`
-/// workers, completed shards are checkpointed under `opts.dir`, and
-/// shards whose checkpoints already exist under `opts.resume` are
-/// loaded instead of recomputed. The concatenated results then go
-/// through the same grid-order merge and render as a single-shot run.
+/// Writes `bytes` to `dir/file`, replacing any existing file: the bytes
+/// go to a temporary sibling whose name is unique to this writer, which
+/// is then renamed over `file`, so a process that dies mid-write never
+/// leaves a partial file under the canonical name. Nothing is synced to
+/// disk: a checkpoint damaged by a power loss is rejected on resume,
+/// recomputed, and written again.
+fn write_replacing(dir: &Path, file: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    static WRITERS: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir)?;
+    let n = WRITERS.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{file}.{}.{n}.tmp", std::process::id()));
+    let path = dir.join(file);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, &path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map(|()| path)
+}
+
+/// Runs `scenario`'s grid shard by shard: each shard's cells fan out
+/// across `jobs` workers, shards whose checkpoints exist under
+/// `opts.resume` are loaded instead of recomputed, and computed shards
+/// are checkpointed under `opts.dir` when it is set. The concatenated
+/// results then go through the engine's grid-order merge and render.
+///
+/// After every shard, `on_shard` sees a [`ShardDone`]; returning
+/// `Break(reason)` stops the run before the next shard.
 ///
 /// # Errors
 ///
-/// Returns a message when a freshly computed checkpoint cannot be
-/// written (resume safety would be silently lost otherwise).
+/// Returns the `reason` of the `Break` that stopped the run.
 pub fn run_sharded<P: Profiler>(
     scenario: &dyn crate::engine::Scenario,
     ctx: &Ctx,
     jobs: usize,
     opts: &ShardOpts,
     profiler: &P,
+    mut on_shard: impl FnMut(&ShardDone) -> ControlFlow<String>,
 ) -> Result<ShardRun, String> {
     let started = Instant::now();
     let id = scenario.id();
@@ -416,30 +461,41 @@ pub fn run_sharded<P: Profiler>(
     let mut written = Vec::new();
     for (i, range) in plan.iter().enumerate() {
         let meta = ShardMeta::new(id, ctx, i, shards, range, total);
-        let cells = match opts
+        let mut write_error = None;
+        let cells = opts
             .resume
             .as_deref()
-            .and_then(|d| try_load_shard(d, &meta))
-        {
-            Some(cells) => {
-                loaded += 1;
-                cells
-            }
-            None => {
-                let cells = run_cells_profiled(scenario, ctx, jobs, range.clone(), profiler);
+            .and_then(|d| try_load_shard(d, &meta));
+        let resumed = cells.is_some();
+        let cells = cells.unwrap_or_else(|| {
+            let cells = run_cells_profiled(scenario, ctx, jobs, range.clone(), profiler);
+            if let Some(dir) = &opts.dir {
                 let bytes = encode_checkpoint(&meta, &cells);
-                let path = write_bytes_fresh(&opts.dir, &checkpoint_file(id, i, shards), &bytes)
-                    .map_err(|e| {
-                        format!(
+                match write_replacing(dir, &checkpoint_file(id, i, shards), &bytes) {
+                    Ok(path) => written.push(path),
+                    Err(e) => {
+                        write_error = Some(format!(
                             "cannot checkpoint shard {i} of {id} under {}: {e}",
-                            opts.dir.display()
-                        )
-                    })?;
-                written.push(path);
-                cells
+                            dir.display()
+                        ))
+                    }
+                }
             }
-        };
+            cells
+        });
+        loaded += usize::from(resumed);
         results.extend(cells);
+        let done = ShardDone {
+            shard: i,
+            shards,
+            cells_done: results.len(),
+            cells_total: total,
+            resumed,
+            write_error,
+        };
+        if let ControlFlow::Break(reason) = on_shard(&done) {
+            return Err(reason);
+        }
     }
 
     let mut output = assemble_run_profiled(scenario, ctx, results, jobs, profiler);
@@ -456,9 +512,22 @@ pub fn run_sharded<P: Profiler>(
 mod tests {
     use super::*;
     use crate::engine::Scenario;
+    use crate::profile::NullProfiler;
+    use std::sync::atomic::AtomicUsize;
     use voltctl_telemetry::Recorder as _;
 
-    struct Grid(usize);
+    /// A test grid of `cells` cells; `cells_run` counts `run_cell` calls.
+    struct Grid {
+        cells: usize,
+        cells_run: AtomicUsize,
+    }
+
+    fn grid(cells: usize) -> Grid {
+        Grid {
+            cells,
+            cells_run: AtomicUsize::new(0),
+        }
+    }
 
     impl Scenario for Grid {
         fn id(&self) -> &'static str {
@@ -468,9 +537,10 @@ mod tests {
             "shard test grid"
         }
         fn cells(&self, _ctx: &Ctx) -> Vec<String> {
-            (0..self.0).map(|k| format!("cell{k}")).collect()
+            (0..self.cells).map(|k| format!("cell{k}")).collect()
         }
         fn run_cell(&self, _ctx: &Ctx, cell: usize) -> CellResult {
+            self.cells_run.fetch_add(1, Ordering::Relaxed);
             let mut r = CellResult::new(format!("cell{cell}"));
             r.value("idx", cell as f64);
             r.row = vec![cell.to_string()];
@@ -493,6 +563,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The CLI's policy: stop on a failed checkpoint write.
+    fn stop_on_write_error(done: &ShardDone) -> ControlFlow<String> {
+        match &done.write_error {
+            Some(e) => ControlFlow::Break(e.clone()),
+            None => ControlFlow::Continue(()),
+        }
+    }
+
+    fn run(scenario: &Grid, ctx: &Ctx, jobs: usize, opts: &ShardOpts) -> ShardRun {
+        run_sharded(
+            scenario,
+            ctx,
+            jobs,
+            opts,
+            &NullProfiler,
+            stop_on_write_error,
+        )
+        .unwrap()
+    }
+
+    fn opts(shards: Option<usize>, resume: Option<&Path>, dir: &Path) -> ShardOpts {
+        ShardOpts {
+            shards,
+            resume: resume.map(Path::to_path_buf),
+            dir: Some(dir.to_path_buf()),
+        }
     }
 
     #[test]
@@ -520,9 +618,8 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_cells_exactly() {
         let ctx = Ctx::default();
-        let scenario = Grid(5);
         let range = 1..4;
-        let cells = crate::engine::run_cells(&scenario, &ctx, 1, range.clone());
+        let cells = run_cells_profiled(&grid(5), &ctx, 1, range.clone(), &NullProfiler);
         let meta = ShardMeta::new("shard_grid", &ctx, 0, 2, &range, 5);
         let bytes = encode_checkpoint(&meta, &cells);
         let (meta2, cells2) = decode_checkpoint(&bytes).unwrap();
@@ -542,7 +639,7 @@ mod tests {
     #[test]
     fn damaged_checkpoints_are_rejected_not_half_loaded() {
         let ctx = Ctx::default();
-        let cells = crate::engine::run_cells(&Grid(3), &ctx, 1, 0..3);
+        let cells = run_cells_profiled(&grid(3), &ctx, 1, 0..3, &NullProfiler);
         let meta = ShardMeta::new("shard_grid", &ctx, 0, 1, &(0..3), 3);
         let good = encode_checkpoint(&meta, &cells);
         for cut in (0..good.len()).step_by(13) {
@@ -566,38 +663,23 @@ mod tests {
             telemetry: true,
             ..Ctx::default()
         };
-        let scenario = Grid(11);
+        let scenario = grid(11);
         let single = crate::engine::run_scenario(&scenario, &ctx, 2);
 
         let dir = temp_dir("resume");
-        let opts = ShardOpts {
-            shards: Some(3),
-            resume: None,
-            dir: dir.clone(),
-        };
-        let run = run_sharded(&scenario, &ctx, 2, &opts, &crate::profile::NullProfiler).unwrap();
-        assert_eq!(run.shards, 3);
-        assert_eq!(run.loaded, 0);
-        assert_eq!(run.written.len(), 3);
-        assert_eq!(run.output.report, single.report);
+        let first = run(&scenario, &ctx, 2, &opts(Some(3), None, &dir));
+        assert_eq!(first.shards, 3);
+        assert_eq!(first.loaded, 0);
+        assert_eq!(first.written.len(), 3);
+        assert_eq!(first.output.report, single.report);
         assert_eq!(
-            run.output.telemetry.snapshot().counters,
+            first.output.telemetry.snapshot().counters,
             single.telemetry.snapshot().counters
         );
 
-        // Resume with every checkpoint present: nothing recomputed.
-        let resumed = run_sharded(
-            &scenario,
-            &ctx,
-            2,
-            &ShardOpts {
-                shards: None, // inferred from the directory
-                resume: Some(dir.clone()),
-                dir: dir.clone(),
-            },
-            &crate::profile::NullProfiler,
-        )
-        .unwrap();
+        // Resume with every checkpoint present: nothing recomputed (the
+        // shard count is inferred from the directory).
+        let resumed = run(&scenario, &ctx, 2, &opts(None, Some(&dir), &dir));
         assert_eq!(resumed.shards, 3);
         assert_eq!(resumed.loaded, 3);
         assert!(resumed.written.is_empty());
@@ -610,21 +692,93 @@ mod tests {
         let at = bytes.len() / 3;
         bytes[at] ^= 0xFF;
         std::fs::write(&victim, &bytes).unwrap();
-        let healed = run_sharded(
+        let healed = run(&scenario, &ctx, 2, &opts(Some(3), Some(&dir), &dir));
+        assert_eq!(healed.loaded, 2);
+        assert_eq!(healed.written, vec![victim]);
+        assert_eq!(healed.output.report, single.report);
+
+        // The recomputed shard replaced the damaged file, so the next
+        // resume loads everything and no suffixed copy exists.
+        let again = run(&scenario, &ctx, 2, &opts(Some(3), Some(&dir), &dir));
+        assert_eq!(again.loaded, 3);
+        assert!(again.written.is_empty());
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        let canonical: Vec<String> = (0..3)
+            .map(|i| checkpoint_file("shard_grid", i, 3))
+            .collect();
+        assert_eq!(files, canonical, "only canonical checkpoints remain");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn break_from_the_callback_stops_before_the_next_shard() {
+        let scenario = grid(9);
+        let seen = std::cell::RefCell::new(Vec::new());
+        let err = run_sharded(
             &scenario,
-            &ctx,
-            2,
+            &Ctx::default(),
+            1,
             &ShardOpts {
                 shards: Some(3),
-                resume: Some(dir.clone()),
-                dir: dir.clone(),
+                ..ShardOpts::default()
             },
-            &crate::profile::NullProfiler,
+            &NullProfiler,
+            |done| {
+                seen.borrow_mut().push(done.clone());
+                ControlFlow::Break(format!("stop after shard {}", done.shard))
+            },
         )
-        .unwrap();
-        assert_eq!(healed.loaded, 2);
-        assert_eq!(healed.written.len(), 1);
-        assert_eq!(healed.output.report, single.report);
+        .unwrap_err();
+        assert_eq!(err, "stop after shard 0");
+        assert_eq!(
+            seen.into_inner(),
+            vec![ShardDone {
+                shard: 0,
+                shards: 3,
+                cells_done: 3,
+                cells_total: 9,
+                resumed: false,
+                write_error: None,
+            }]
+        );
+        assert_eq!(
+            scenario.cells_run.load(Ordering::Relaxed),
+            3,
+            "no later shard's cells ran"
+        );
+    }
+
+    #[test]
+    fn failed_checkpoint_write_stops_the_cli_policy() {
+        let dir = temp_dir("obstructed");
+        // A directory squatting on shard 1's canonical name makes its
+        // write fail.
+        std::fs::create_dir(dir.join(checkpoint_file("shard_grid", 1, 3))).unwrap();
+        let scenario = grid(9);
+        let err = run_sharded(
+            &scenario,
+            &Ctx::default(),
+            1,
+            &opts(Some(3), None, &dir),
+            &NullProfiler,
+            stop_on_write_error,
+        )
+        .unwrap_err();
+        assert!(
+            err.starts_with("cannot checkpoint shard 1 of shard_grid under"),
+            "{err}"
+        );
+        assert_eq!(scenario.cells_run.load(Ordering::Relaxed), 6);
+        let stray: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(stray.is_empty(), "temporary files left behind: {stray:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -655,33 +809,21 @@ mod tests {
     #[test]
     fn context_mismatch_forces_recompute() {
         let dir = temp_dir("ctx-mismatch");
-        let scenario = Grid(4);
+        let scenario = grid(4);
         let smoke = Ctx {
             smoke: true,
             ..Ctx::default()
         };
-        let opts = ShardOpts {
-            shards: Some(2),
-            resume: None,
-            dir: dir.clone(),
-        };
-        run_sharded(&scenario, &smoke, 1, &opts, &crate::profile::NullProfiler).unwrap();
+        run(&scenario, &smoke, 1, &opts(Some(2), None, &dir));
 
         // Same shard geometry, different context: checkpoints must not
         // be trusted.
-        let full = Ctx::default();
-        let resumed = run_sharded(
+        let resumed = run(
             &scenario,
-            &full,
+            &Ctx::default(),
             1,
-            &ShardOpts {
-                shards: Some(2),
-                resume: Some(dir.clone()),
-                dir: dir.clone(),
-            },
-            &crate::profile::NullProfiler,
-        )
-        .unwrap();
+            &opts(Some(2), Some(&dir), &dir),
+        );
         assert_eq!(resumed.loaded, 0, "fingerprint mismatch must recompute");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -26,25 +26,46 @@ pub enum Mode {
     Csv,
 }
 
+impl Mode {
+    /// The mode's canonical name, as `--telemetry` and the daemon's job
+    /// spec spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Off => "off",
+            Mode::Summary => "summary",
+            Mode::Jsonl => "jsonl",
+            Mode::Csv => "csv",
+        }
+    }
+
+    /// Looks a mode up by name, case-insensitively and ignoring
+    /// surrounding whitespace. Besides the canonical names, `""`, `0`
+    /// and `none` mean off and `json` means jsonl.
+    pub fn from_name(raw: &str) -> Option<Mode> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "" | "off" | "0" | "none" => Some(Mode::Off),
+            "summary" => Some(Mode::Summary),
+            "jsonl" | "json" => Some(Mode::Jsonl),
+            "csv" => Some(Mode::Csv),
+            _ => None,
+        }
+    }
+}
+
 /// Parses a telemetry mode value. Unknown values warn and disable
 /// telemetry rather than abort an expensive run.
 pub fn parse_mode(raw: &str) -> Mode {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "off" | "0" | "none" => Mode::Off,
-        "summary" => Mode::Summary,
-        "jsonl" | "json" => Mode::Jsonl,
-        "csv" => Mode::Csv,
-        other => {
-            voltctl_telemetry::warn(
-                "telemetry.mode",
-                &format!(
-                    "unknown telemetry mode {other:?} \
-                     (expected off|summary|jsonl|csv); telemetry disabled"
-                ),
-            );
-            Mode::Off
-        }
-    }
+    Mode::from_name(raw).unwrap_or_else(|| {
+        voltctl_telemetry::warn(
+            "telemetry.mode",
+            &format!(
+                "unknown telemetry mode {:?} \
+                 (expected off|summary|jsonl|csv); telemetry disabled",
+                raw.trim().to_ascii_lowercase()
+            ),
+        );
+        Mode::Off
+    })
 }
 
 /// The mode from `VOLTCTL_TELEMETRY`, read once per process.
@@ -103,5 +124,9 @@ mod tests {
         assert_eq!(parse_mode("json"), Mode::Jsonl);
         assert_eq!(parse_mode("csv"), Mode::Csv);
         assert_eq!(parse_mode("bogus"), Mode::Off, "unknown values disable");
+        for mode in [Mode::Off, Mode::Summary, Mode::Jsonl, Mode::Csv] {
+            assert_eq!(Mode::from_name(mode.name()), Some(mode));
+        }
+        assert_eq!(Mode::from_name("bogus"), None);
     }
 }

@@ -6,6 +6,7 @@
 //! (Perfetto JSON + forensics report). A checkpoint resume must land on
 //! the same bytes as well.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use voltctl_exp::engine::{run_scenario, Ctx, RunOutput, TraceSpec};
@@ -38,11 +39,13 @@ fn sharded(id: &str, ctx: &Ctx, shards: usize, jobs: usize, dir: &Path) -> RunOu
     let opts = ShardOpts {
         shards: Some(shards),
         resume: None,
-        dir: dir.to_path_buf(),
+        dir: Some(dir.to_path_buf()),
     };
-    run_sharded(scenario, ctx, jobs, &opts, &NullProfiler)
-        .expect("sharded run succeeds")
-        .output
+    run_sharded(scenario, ctx, jobs, &opts, &NullProfiler, |_| {
+        ControlFlow::Continue(())
+    })
+    .expect("sharded run succeeds")
+    .output
 }
 
 #[test]
@@ -123,9 +126,10 @@ fn resume_reaches_the_same_bytes_without_recomputing() {
         &ShardOpts {
             shards: Some(3),
             resume: None,
-            dir: dir.clone(),
+            dir: Some(dir.clone()),
         },
         &NullProfiler,
+        |_| ControlFlow::Continue(()),
     )
     .unwrap();
     assert_eq!(first.written.len(), 3);
@@ -145,9 +149,10 @@ fn resume_reaches_the_same_bytes_without_recomputing() {
         &ShardOpts {
             shards: Some(3),
             resume: Some(dir.clone()),
-            dir: dir.clone(),
+            dir: Some(dir.clone()),
         },
         &NullProfiler,
+        |_| ControlFlow::Continue(()),
     )
     .unwrap();
     assert_eq!(resumed.loaded, 3);

@@ -106,13 +106,12 @@ impl JobSpec {
         }
         if let Some(v) = json.get("telemetry") {
             let raw = v.as_str().ok_or("\"telemetry\" must be a string")?;
-            spec.telemetry = match raw.trim().to_ascii_lowercase().as_str() {
-                "" | "off" => Mode::Off,
-                "summary" => Mode::Summary,
-                "jsonl" => Mode::Jsonl,
-                "csv" => Mode::Csv,
-                other => return Err(format!("unknown telemetry mode {other:?}")),
-            };
+            spec.telemetry = Mode::from_name(raw).ok_or_else(|| {
+                format!(
+                    "unknown telemetry mode {:?}",
+                    raw.trim().to_ascii_lowercase()
+                )
+            })?;
         }
         if let Some(v) = json.get("shards") {
             let n = v.as_f64().ok_or("\"shards\" must be a number")?;
@@ -143,12 +142,6 @@ impl JobSpec {
 
     /// Serializes the options back out (for `GET /jobs/<id>` echoes).
     pub fn to_json(&self) -> String {
-        let telemetry = match self.telemetry {
-            Mode::Off => "off",
-            Mode::Summary => "summary",
-            Mode::Jsonl => "jsonl",
-            Mode::Csv => "csv",
-        };
         format!(
             "{{\"scenario\":{},\"scale\":{},\"smoke\":{},\"trace\":{},\
              \"telemetry\":\"{}\",\"shards\":{},\"checkpoints\":{}}}",
@@ -156,7 +149,7 @@ impl JobSpec {
             self.scale,
             self.smoke,
             self.trace,
-            telemetry,
+            self.telemetry.name(),
             self.shards,
             self.checkpoints
         )
@@ -836,6 +829,14 @@ mod tests {
         assert_eq!(spec.telemetry, Mode::Jsonl);
         assert_eq!(spec.shards, 3);
         assert!(spec.checkpoints);
+        let echoed = JobSpec::from_json_body(spec.to_json().as_bytes()).unwrap();
+        assert_eq!(echoed.telemetry, Mode::Jsonl);
+        let alias = JobSpec::from_json_body(br#"{"scenario":"x","telemetry":"json"}"#).unwrap();
+        assert_eq!(
+            alias.telemetry,
+            Mode::Jsonl,
+            "the CLI's aliases are accepted"
+        );
 
         assert!(JobSpec::from_json_body(b"not json").is_err());
         assert!(JobSpec::from_json_body(b"{}").is_err());

@@ -17,8 +17,8 @@
 //!
 //! The determinism contract extends across the wire: a job's report
 //! bytes are identical to the equivalent `voltctl-exp run` invocation,
-//! because the daemon executes jobs through the very same
-//! `plan_shards` → `run_cells` → `assemble_run` primitives.
+//! because the daemon executes jobs through the very same scenario
+//! driver, `voltctl_exp::run_sharded`.
 
 pub mod bench;
 pub mod client;

@@ -1,21 +1,23 @@
 //! Worker-pool job execution over the `voltctl-exp` engine.
 //!
-//! Each worker thread loops on [`JobTable::claim`] and executes jobs
-//! through the *same* primitives the CLI's sharded path uses —
-//! [`plan_shards`] → [`run_cells`] per shard → [`assemble_run`] — so a
+//! Each worker thread loops on [`JobTable::claim`] and runs each job
+//! through the scenario driver the CLI uses, [`run_sharded`], so a
 //! job's rendered report is byte-identical to the equivalent
 //! `voltctl-exp run` invocation (the engine's merge is grid-ordered and
 //! jobs/shards-invariant).
 //!
 //! # Crash safety and cancellation
 //!
-//! Between shards the runner consults the job's cooperative cancel
-//! flag and, when checkpointing is enabled, persists each completed
-//! shard through the PR 7 checkpoint container (`encode_checkpoint` +
-//! the atomic never-overwrite writer). A daemon that crashes — or a job
-//! that is cancelled — leaves valid shard checkpoints behind; a
-//! resubmitted identical job revalidates them via [`try_load_shard`]
-//! (geometry + context fingerprint) and resumes where the work stopped.
+//! After each shard the driver hands the runner a progress record: the
+//! runner streams it as a job event, logs a failed checkpoint write
+//! (`runner.checkpoint_write_failed`; checkpoints are an optimization,
+//! so the job carries on), and stops the job if its cooperative cancel
+//! flag is up. With checkpointing on, each completed shard is written
+//! under its canonical name through a temporary file and a rename. A
+//! daemon that crashes — or a job that is cancelled — leaves valid
+//! shard checkpoints behind; a resubmitted identical job revalidates
+//! them (geometry + context fingerprint) and resumes where the work
+//! stopped.
 //!
 //! # Panic isolation
 //!
@@ -26,16 +28,16 @@
 
 use crate::event::{EventLevel, F};
 use crate::job::{Claimed, JobOutcome, JobSpec, JobTable};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use voltctl_exp::telemetry::Mode;
 use voltctl_exp::{
-    assemble_run, checkpoint_file, ctx_fingerprint, encode_checkpoint, find, plan_shards,
-    run_cells, try_load_shard, Scenario, ShardMeta,
+    ctx_fingerprint, find, plan_shards, run_sharded, NullProfiler, Scenario, ShardDone, ShardOpts,
 };
-use voltctl_telemetry::export::{create_dir_fresh, write_bytes_fresh};
+use voltctl_telemetry::export::{create_dir_fresh, write_file_fresh};
 
 /// Runner-relevant daemon configuration (a subset of the server's).
 #[derive(Debug, Clone)]
@@ -101,101 +103,86 @@ fn execute(table: &JobTable, cfg: &RunnerConfig, claimed: &Claimed) -> JobOutcom
     table.set_artifact_dir(id, artifact_dir.clone());
 
     let ctx = spec.ctx(artifact_dir.clone());
-    let total = scenario.cells(&ctx).len();
     let shards = if spec.shards == 0 {
         cfg.default_shards
     } else {
         spec.shards
     };
-    let plan = plan_shards(total, shards);
-    let shard_count = plan.len();
-    let ckpt_dir = cfg
-        .root
-        .join("checkpoints")
-        .join(work_key(spec, &ctx, shard_count));
-    if spec.checkpoints {
-        if let Err(e) = std::fs::create_dir_all(&ckpt_dir) {
-            return JobOutcome::Failed(format!("cannot create checkpoint dir: {e}"));
-        }
-    }
-
-    let mut results = Vec::with_capacity(total);
-    for (i, range) in plan.into_iter().enumerate() {
-        if cancel.load(Ordering::Relaxed) {
-            return JobOutcome::Cancelled(results.len());
-        }
-        let meta = ShardMeta::new(scenario.id(), &ctx, i, shard_count, &range, total);
-        let (cells, resumed) = match spec
-            .checkpoints
-            .then(|| try_load_shard(&ckpt_dir, &meta))
-            .flatten()
-        {
-            Some(cells) => (cells, true),
-            None => {
-                let cells = run_cells(scenario, &ctx, 1, range);
-                if spec.checkpoints {
-                    persist_shard(table, &ckpt_dir, scenario, i, shard_count, &meta, &cells);
-                }
-                (cells, false)
-            }
-        };
-        results.extend(cells);
-        table.progress(
-            id,
-            format!(
-                "{{\"job\":{id},\"event\":\"shard\",\"shard\":{i},\"shards\":{shard_count},\
-                 \"cells_done\":{},\"cells_total\":{total},\"resumed\":{resumed},\"req\":{}}}",
-                results.len(),
-                voltctl_check::json::escape(&claimed.request_id)
-            ),
-            results.len(),
-        );
-        table.log().emit(
-            EventLevel::Debug,
-            "job.shard",
-            &[
-                ("req", F::s(&claimed.request_id)),
-                ("job", F::U(id)),
-                ("shard", F::U(i as u64)),
-                ("shards", F::U(shard_count as u64)),
-                ("cells_done", F::U(results.len() as u64)),
-                ("cells_total", F::U(total as u64)),
-                ("resumed", F::B(resumed)),
-            ],
-        );
-    }
+    let shard_count = plan_shards(scenario.cells(&ctx).len(), shards).len();
+    let store = spec.checkpoints.then(|| {
+        cfg.root
+            .join("checkpoints")
+            .join(work_key(spec, &ctx, shard_count))
+    });
+    let opts = ShardOpts {
+        shards: Some(shard_count),
+        resume: store.clone(),
+        dir: store,
+    };
     if cancel.load(Ordering::Relaxed) {
-        return JobOutcome::Cancelled(results.len());
+        return JobOutcome::Cancelled(0);
     }
-
-    let out = assemble_run(scenario, &ctx, results, 1);
-    write_artifacts(table, &artifact_dir, scenario, spec, &out);
-    JobOutcome::Done(out.report.into_bytes(), out.cells)
+    let mut cells_done = 0;
+    let on_shard = |done: &ShardDone| {
+        cells_done = done.cells_done;
+        if let Some(error) = &done.write_error {
+            table.log().emit(
+                EventLevel::Warn,
+                "runner.checkpoint_write_failed",
+                &[("shard", F::U(done.shard as u64)), ("error", F::s(error))],
+            );
+        }
+        report_shard(table, claimed, done);
+        if cancel.load(Ordering::Relaxed) {
+            ControlFlow::Break("cancelled".to_string())
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    match run_sharded(scenario, &ctx, 1, &opts, &NullProfiler, on_shard) {
+        Ok(run) => {
+            write_artifacts(table, &artifact_dir, scenario, spec, &run.output);
+            JobOutcome::Done(run.output.report.into_bytes(), run.output.cells)
+        }
+        // The callback breaks only on cancellation.
+        Err(_) => JobOutcome::Cancelled(cells_done),
+    }
 }
 
-fn persist_shard(
-    table: &JobTable,
-    dir: &Path,
-    scenario: &dyn Scenario,
-    shard: usize,
-    shards: usize,
-    meta: &ShardMeta,
-    cells: &[voltctl_exp::CellResult],
-) {
-    let bytes = encode_checkpoint(meta, cells);
-    let name = checkpoint_file(scenario.id(), shard, shards);
-    if let Err(e) = write_bytes_fresh(dir, &name, &bytes) {
-        // Checkpoints are an optimization; a failed write degrades
-        // resume, never the job itself.
-        table.log().emit(
-            EventLevel::Warn,
-            "runner.checkpoint_write_failed",
-            &[
-                ("shard", F::U(shard as u64)),
-                ("error", F::s(e.to_string())),
-            ],
-        );
-    }
+/// Streams one finished shard as a job progress event and a debug log
+/// line.
+fn report_shard(table: &JobTable, claimed: &Claimed, done: &ShardDone) {
+    let id = claimed.id;
+    let ShardDone {
+        shard,
+        shards,
+        cells_done,
+        cells_total,
+        resumed,
+        ..
+    } = *done;
+    table.progress(
+        id,
+        format!(
+            "{{\"job\":{id},\"event\":\"shard\",\"shard\":{shard},\"shards\":{shards},\
+             \"cells_done\":{cells_done},\"cells_total\":{cells_total},\"resumed\":{resumed},\"req\":{}}}",
+            voltctl_check::json::escape(&claimed.request_id)
+        ),
+        cells_done,
+    );
+    table.log().emit(
+        EventLevel::Debug,
+        "job.shard",
+        &[
+            ("req", F::s(&claimed.request_id)),
+            ("job", F::U(id)),
+            ("shard", F::U(shard as u64)),
+            ("shards", F::U(shards as u64)),
+            ("cells_done", F::U(cells_done as u64)),
+            ("cells_total", F::U(cells_total as u64)),
+            ("resumed", F::B(resumed)),
+        ],
+    );
 }
 
 fn write_artifacts(
@@ -205,7 +192,7 @@ fn write_artifacts(
     spec: &JobSpec,
     out: &voltctl_exp::RunOutput,
 ) {
-    if let Err(e) = write_bytes_fresh(dir, "report.txt", out.report.as_bytes()) {
+    if let Err(e) = write_file_fresh(dir, "report.txt", &out.report) {
         table.log().emit(
             EventLevel::Warn,
             "runner.report_write_failed",
@@ -308,6 +295,42 @@ mod tests {
         assert!(shards >= 1);
         assert_eq!(resumed, shards, "every shard should resume: {events:?}");
         assert_eq!(snap.state, crate::job::JobState::Done);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_checkpoint_write_is_logged_and_the_job_completes() {
+        let root = temp_root("obstructed");
+        let log = Arc::new(crate::event::EventLog::open(&root));
+        let table = Arc::new(JobTable::with_log(4, log.clone()));
+        let cfg = Arc::new(RunnerConfig {
+            root: root.clone(),
+            default_shards: 2,
+        });
+        let spec = smoke_spec("fig02_response");
+        // A directory squatting on shard 0's canonical checkpoint path
+        // makes that one write fail.
+        let scenario = find(&spec.scenario).unwrap();
+        let ctx = spec.ctx(root.clone());
+        let shards = plan_shards(scenario.cells(&ctx).len(), 2).len();
+        let store = root.join("checkpoints").join(work_key(&spec, &ctx, shards));
+        let file = voltctl_exp::checkpoint_file(scenario.id(), 0, shards);
+        std::fs::create_dir_all(store.join(file)).unwrap();
+
+        let id = table.submit(spec).unwrap();
+        run_one(&table, &cfg);
+        assert_eq!(
+            table.snapshot(id).unwrap().state,
+            crate::job::JobState::Done
+        );
+        let cli = run_scenario(scenario, &ctx, 1).report;
+        assert_eq!(table.report(id), Some(cli.into_bytes()));
+        let events = std::fs::read_to_string(log.path().unwrap()).unwrap();
+        let failed = events
+            .lines()
+            .filter(|l| l.contains("\"event\":\"runner.checkpoint_write_failed\""))
+            .count();
+        assert_eq!(failed, 1, "{events}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -304,12 +304,6 @@ fn warn_once_about_suffixing(path: &Path) {
 /// overwriting. Warns once per process on the first collision. Creation
 /// uses `create_new` so concurrent writers cannot clobber each other.
 pub fn write_file_fresh(dir: &Path, file: &str, contents: &str) -> io::Result<PathBuf> {
-    write_bytes_fresh(dir, file, contents.as_bytes())
-}
-
-/// [`write_file_fresh`] for binary artifacts (snapshot checkpoints):
-/// identical `-N` suffix semantics, raw bytes instead of UTF-8 text.
-pub fn write_bytes_fresh(dir: &Path, file: &str, contents: &[u8]) -> io::Result<PathBuf> {
     use std::io::Write as _;
     std::fs::create_dir_all(dir)?;
     let mut name = file.to_string();
@@ -322,7 +316,7 @@ pub fn write_bytes_fresh(dir: &Path, file: &str, contents: &[u8]) -> io::Result<
             .open(&path)
         {
             Ok(mut f) => {
-                f.write_all(contents)?;
+                f.write_all(contents.as_bytes())?;
                 return Ok(path);
             }
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
@@ -339,8 +333,8 @@ pub fn write_bytes_fresh(dir: &Path, file: &str, contents: &[u8]) -> io::Result<
 
 /// Creates the directory `parent/name`, or — when it already exists —
 /// the first free `parent/name-N` (N = 1, 2, …): the directory-level
-/// twin of [`write_file_fresh`], used for checkpoint directories so a
-/// rerun never mingles its shards with a previous run's. Creation uses
+/// twin of [`write_file_fresh`], used for the daemon's per-job artifact
+/// directories so a rerun never mingles its files with a previous run's. Creation uses
 /// `create_dir` (not `create_dir_all` on the leaf) so concurrent
 /// callers cannot claim the same directory.
 pub fn create_dir_fresh(parent: &Path, name: &str) -> io::Result<PathBuf> {

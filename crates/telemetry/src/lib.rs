@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod collector;
 pub mod export;
 pub mod intern;
 pub mod linear;
@@ -59,7 +58,6 @@ pub mod rng;
 pub mod snapshot;
 pub mod stopwatch;
 
-pub use collector::Collector;
 pub use linear::LinearHistogram;
 pub use memory::MemoryRecorder;
 pub use recorder::{Level, MetricId, NullRecorder, Recorder};
