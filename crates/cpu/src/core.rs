@@ -23,6 +23,14 @@
 //! forwarding) is modeled in the RUU/LSQ machinery, independent of the
 //! functional values.
 //!
+//! Issue costs work in proportion to the instructions that can act, not
+//! to the window size. A ready bitmap (one bit per RUU slot) marks the
+//! entries whose operands are all available; issue visits only its set
+//! bits, oldest first. Within a cycle, a non-memory unit kind that has
+//! refused one claim refuses every later one, so its remaining ready
+//! entries are skipped without being timed. The bitmap is derived from
+//! the entry states and is rebuilt, not stored, by snapshots.
+//!
 //! ## dI/dt control hooks
 //!
 //! The per-cycle [`GatingState`] lets an external controller block issue
@@ -102,6 +110,9 @@ pub struct Cpu {
     ruu: Vec<Option<RuuEntry>>,
     ruu_head: usize,
     ruu_count: usize,
+    /// One bit per RUU slot, set exactly when the slot's entry is
+    /// [`EntryState::Ready`]. Derived state: never packed.
+    ready: Vec<u64>,
     /// Program-ordered slots of in-flight memory operations.
     lsq: VecDeque<usize>,
     reg_producer: [Option<usize>; 64],
@@ -149,6 +160,7 @@ impl Cpu {
             ruu: vec![None; ruu_size],
             ruu_head: 0,
             ruu_count: 0,
+            ready: vec![0; ruu_size.div_ceil(64)],
             lsq: VecDeque::with_capacity(config.lsq_size),
             reg_producer: [None; 64],
             caches,
@@ -291,6 +303,7 @@ impl Cpu {
                     dep.deps_outstanding -= 1;
                     if dep.deps_outstanding == 0 && dep.state == EntryState::Waiting {
                         dep.state = EntryState::Ready;
+                        self.ready[dep_slot / 64] |= 1 << (dep_slot % 64);
                     }
                 }
             }
@@ -338,86 +351,122 @@ impl Cpu {
     }
 
     fn issue(&mut self, act: &mut CycleActivity) {
+        debug_assert!(
+            self.ready == ready_bitmap(&self.ruu),
+            "ready bitmap out of step with entry states"
+        );
         let mut budget = self.config.issue_width;
-        let len = self.ruu.len();
-        for i in 0..self.ruu_count {
-            if budget == 0 {
-                break;
-            }
-            let slot = (self.ruu_head + i) % len;
-            let Some(entry) = self.ruu[slot].as_ref() else {
-                continue;
-            };
-            if entry.state != EntryState::Ready {
-                continue;
-            }
-            let Some(fu_kind) = entry.fu else {
-                // Nops complete without a unit, one cycle after dispatch.
-                let entry = self.ruu[slot].as_mut().expect("present");
-                entry.state = EntryState::Issued;
-                self.schedule_completion(slot, 1);
-                continue;
-            };
-
-            // Gating: the FU domain covers all execution units; the DL1
-            // domain covers the memory ports.
-            if fu_kind == FuKind::MemPort {
-                if self.gating.gate_dl1 {
-                    continue;
-                }
-            } else if self.gating.gate_fu {
-                continue;
-            }
-
-            // Memory ordering: a load may not issue past an incomplete
-            // older store to an overlapping address.
-            let mut forward = false;
-            if entry.fetched.inst.is_load() {
-                match self.load_ordering(slot) {
-                    LoadOrder::Blocked => continue,
-                    LoadOrder::Forward => forward = true,
-                    LoadOrder::CacheAccess => {}
-                }
-            }
-
-            let timing = op_timing(entry.fetched.inst.op, &self.config.fu);
-            let latency = if entry.fetched.inst.op.is_mem() {
-                if forward {
-                    1
-                } else {
-                    let addr = entry.fetched.mem_addr.expect("mem op has address");
-                    let write = entry.fetched.inst.is_store();
-                    let (lat, counts) = self.caches.access_data(addr, write);
-                    act.dl1_accesses += counts.l1_accesses;
-                    act.dl1_misses += counts.l1_misses;
-                    act.l2_accesses += counts.l2_accesses;
-                    act.l2_misses += counts.l2_misses;
-                    lat
-                }
-            } else {
-                timing.latency
-            };
-            let exec_cycles = latency.max(timing.occupancy);
-
-            if !self
-                .fus
-                .try_issue(fu_kind, self.cycle, timing.occupancy, exec_cycles)
-            {
-                continue;
-            }
-
-            let entry = self.ruu[slot].as_mut().expect("present");
-            entry.state = EntryState::Issued;
-            act.issued += 1;
-            act.issued_per_fu[fu_kind.index()] += 1;
-            act.regfile_reads += entry.fetched.inst.effective_sources().count() as u32;
-            if forward {
-                act.lsq_forwards += 1;
-                self.stats.lsq_forwards += 1;
-            }
-            self.schedule_completion(slot, latency);
-            budget -= 1;
+        // Bit `kind.index()` is set for unit kinds that cannot issue for
+        // the rest of this cycle: gated domains, and non-memory kinds that
+        // have refused a claim (claims only push `busy_until` past
+        // `cycle`, so a refusal stands until the next cycle).
+        let mut blocked = 0u32;
+        if self.gating.gate_fu {
+            blocked |= !(1 << FuKind::MemPort.index());
         }
+        if self.gating.gate_dl1 {
+            blocked |= 1 << FuKind::MemPort.index();
+        }
+        // Ready slots in age order: the occupied slots from the head to
+        // the end, then the wrapped part. The bits of a word are copied
+        // before the walk, so issuing (which clears bits) does not
+        // disturb it.
+        let (head, len) = (self.ruu_head, self.ruu.len());
+        let end = head + self.ruu_count;
+        for (lo, hi) in [(head, end.min(len)), (0, end.saturating_sub(len))] {
+            for word in lo / 64..hi.div_ceil(64) {
+                let mut bits = self.ready[word] & span_mask(word, lo, hi);
+                while bits != 0 {
+                    if budget == 0 {
+                        return;
+                    }
+                    let slot = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.issue_slot(slot, &mut blocked, act) {
+                        budget -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Tries to issue the Ready entry in `slot`. Returns whether it took
+    /// an issue slot: nops complete without a unit and take none.
+    fn issue_slot(&mut self, slot: usize, blocked: &mut u32, act: &mut CycleActivity) -> bool {
+        let entry = self.ruu[slot].as_ref().expect("ready slot is occupied");
+        let Some(fu_kind) = entry.fu else {
+            // Nops complete without a unit, one cycle after dispatch.
+            self.mark_issued(slot);
+            self.schedule_completion(slot, 1);
+            return false;
+        };
+        // Gating (the FU domain covers all execution units, the DL1
+        // domain the memory ports) and units already refused this cycle.
+        if *blocked & (1 << fu_kind.index()) != 0 {
+            return false;
+        }
+
+        // Memory ordering: a load may not issue past an incomplete
+        // older store to an overlapping address.
+        let mut forward = false;
+        if entry.fetched.inst.is_load() {
+            match self.load_ordering(slot) {
+                LoadOrder::Blocked => return false,
+                LoadOrder::Forward => forward = true,
+                LoadOrder::CacheAccess => {}
+            }
+        }
+
+        let timing = op_timing(entry.fetched.inst.op, &self.config.fu);
+        let latency = if entry.fetched.inst.op.is_mem() {
+            if forward {
+                1
+            } else {
+                let addr = entry.fetched.mem_addr.expect("mem op has address");
+                let write = entry.fetched.inst.is_store();
+                let (lat, counts) = self.caches.access_data(addr, write);
+                act.dl1_accesses += counts.l1_accesses;
+                act.dl1_misses += counts.l1_misses;
+                act.l2_accesses += counts.l2_accesses;
+                act.l2_misses += counts.l2_misses;
+                lat
+            }
+        } else {
+            timing.latency
+        };
+        let exec_cycles = latency.max(timing.occupancy);
+
+        if !self
+            .fus
+            .try_issue(fu_kind, self.cycle, timing.occupancy, exec_cycles)
+        {
+            // A memory op that loses the port race has already accessed
+            // the cache above (LRU, dirty bits, `dl1_accesses`) and will
+            // access it again when it retries. Masking `MemPort` would
+            // skip those accesses for the rest of the cycle and change
+            // the modeled activity, so memory ports stay out of the mask.
+            if fu_kind != FuKind::MemPort {
+                *blocked |= 1 << fu_kind.index();
+            }
+            return false;
+        }
+
+        self.mark_issued(slot);
+        let entry = self.ruu[slot].as_ref().expect("present");
+        act.issued += 1;
+        act.issued_per_fu[fu_kind.index()] += 1;
+        act.regfile_reads += entry.fetched.inst.effective_sources().count() as u32;
+        if forward {
+            act.lsq_forwards += 1;
+            self.stats.lsq_forwards += 1;
+        }
+        self.schedule_completion(slot, latency);
+        true
+    }
+
+    fn mark_issued(&mut self, slot: usize) {
+        self.ruu[slot].as_mut().expect("present").state = EntryState::Issued;
+        self.ready[slot / 64] &= !(1 << (slot % 64));
     }
 
     fn schedule_completion(&mut self, slot: usize, latency: u64) {
@@ -451,7 +500,10 @@ impl Cpu {
             }
             let s_addr = e.fetched.mem_addr.expect("store has address");
             let s_bytes = e.fetched.mem_bytes;
-            let overlap = s_addr < l_addr + l_bytes as u64 && l_addr < s_addr + s_bytes as u64;
+            // Addresses wrap modulo 2^64 (`exec::effective_address`), so
+            // the range ends do too.
+            let overlap = s_addr < l_addr.wrapping_add(l_bytes as u64)
+                && l_addr < s_addr.wrapping_add(s_bytes as u64);
             if overlap {
                 youngest = Some(e);
             }
@@ -497,6 +549,7 @@ impl Cpu {
             }
             let fu = FuKind::for_opcode(fetched.inst.op);
             let state = if deps == 0 {
+                self.ready[slot / 64] |= 1 << (slot % 64);
                 EntryState::Ready
             } else {
                 EntryState::Waiting
@@ -971,6 +1024,7 @@ impl Cpu {
             fetch_queue,
             fetch_stall_until,
             fetch_blocked_on,
+            ready: ready_bitmap(&ruu),
             ruu,
             ruu_head,
             ruu_count,
@@ -986,6 +1040,27 @@ impl Cpu {
             last_branch_taken,
         })
     }
+}
+
+/// The ready bitmap implied by the entry states: bit `slot` is set
+/// exactly when the entry in `slot` is [`EntryState::Ready`].
+fn ready_bitmap(ruu: &[Option<RuuEntry>]) -> Vec<u64> {
+    let mut ready = vec![0u64; ruu.len().div_ceil(64)];
+    for (slot, entry) in ruu.iter().enumerate() {
+        if entry.as_ref().is_some_and(|e| e.state == EntryState::Ready) {
+            ready[slot / 64] |= 1 << (slot % 64);
+        }
+    }
+    ready
+}
+
+/// The bits of bitmap word `word` that fall inside slots `[lo, hi)`.
+/// The word must overlap the span (`lo / 64 <= word < hi.div_ceil(64)`),
+/// so both shifts stay below 64.
+fn span_mask(word: usize, lo: usize, hi: usize) -> u64 {
+    let base = word * 64;
+    let (from, to) = (lo.saturating_sub(base), (hi - base).min(64));
+    (u64::MAX << from) & (u64::MAX >> (64 - to))
 }
 
 /// Outcome of the load-vs-older-store ordering check.
@@ -1392,24 +1467,43 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn snapshot_mid_flight_resumes_cycle_for_cycle() {
+    /// Far more independent FP adds per iteration than the machine has FP
+    /// adders, so Ready entries wait in the window for a unit.
+    fn fp_burst_program() -> Program {
+        let mut b = ProgramBuilder::new("fp-burst");
+        b.data_f64(0x1000, &[1.5, 2.5]);
+        b.lda(IntReg::R4, IntReg::R31, 0x1000);
+        b.ldt(FpReg::F1, 0, IntReg::R4);
+        b.ldt(FpReg::F2, 8, IntReg::R4);
+        b.lda(IntReg::R1, IntReg::R31, 100);
+        b.label("top");
+        for k in 3..27 {
+            b.addt(FpReg::new(k), FpReg::F1, FpReg::F2);
+        }
+        b.subq_imm(IntReg::R1, IntReg::R1, 1);
+        b.bne(IntReg::R1, "top");
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// Saves `reference` mid-flight, restores it, and checks that the
+    /// restored machine re-packs to the same bytes, then steps in
+    /// lockstep with the original to the end.
+    fn assert_resumes_cycle_for_cycle(program: &Program, mut reference: Cpu) {
         use voltctl_snap::{ByteReader, ByteWriter};
-        let program = busy_program();
-        let config = CpuConfig::table1();
-        let mut reference = Cpu::new(config.clone(), &program).unwrap();
-
-        // Stop mid-pipeline with the window, LSQ, and FUs all busy.
-        reference.run(137);
         assert!(!reference.done(), "checkpoint must land mid-flight");
-
-        let mut w = ByteWriter::new();
-        reference.pack_state(&mut w);
-        let bytes = w.into_bytes();
+        let pack = |cpu: &Cpu| {
+            let mut w = ByteWriter::new();
+            cpu.pack_state(&mut w);
+            w.into_bytes()
+        };
+        let bytes = pack(&reference);
         let mut r = ByteReader::new(&bytes);
-        let mut restored = Cpu::unpack_state(config, &program, &mut r).unwrap();
+        let mut restored = Cpu::unpack_state(reference.config.clone(), program, &mut r).unwrap();
         assert!(r.finished(), "decoder must consume the whole snapshot");
         assert_eq!(restored.cycle(), reference.cycle());
+        assert_eq!(pack(&restored), bytes);
+        assert_eq!(restored.ready, reference.ready);
 
         // Every subsequent cycle must report identical structural activity.
         while !reference.done() {
@@ -1420,11 +1514,35 @@ mod tests {
         assert_eq!(restored.stats(), reference.stats());
 
         // And re-serializing the restored machine is byte-identical.
-        let mut w2 = ByteWriter::new();
-        let mut w3 = ByteWriter::new();
-        reference.pack_state(&mut w2);
-        restored.pack_state(&mut w3);
-        assert_eq!(w2.as_bytes(), w3.as_bytes());
+        assert_eq!(pack(&restored), pack(&reference));
+    }
+
+    #[test]
+    fn snapshot_mid_flight_resumes_cycle_for_cycle() {
+        let config = CpuConfig::table1();
+
+        // Stop mid-pipeline with the window, LSQ, and FUs all busy.
+        let program = busy_program();
+        let mut reference = Cpu::new(config.clone(), &program).unwrap();
+        reference.run(137);
+        assert_resumes_cycle_for_cycle(&program, reference);
+
+        // Stop where FP adds that were Ready at issue lost the unit race
+        // and still wait in the window.
+        let program = fp_burst_program();
+        let mut reference = Cpu::new(config.clone(), &program).unwrap();
+        let waiting_fp_adds = |cpu: &Cpu| {
+            cpu.ruu
+                .iter()
+                .flatten()
+                .filter(|e| e.state == EntryState::Ready && e.fu == Some(FuKind::FpAlu))
+                .count()
+        };
+        while waiting_fp_adds(&reference) <= config.issue_width + config.fu.fp_alu {
+            reference.step();
+            assert!(reference.cycle() < 10_000, "FP adds never backed up");
+        }
+        assert_resumes_cycle_for_cycle(&program, reference);
     }
 
     #[test]

@@ -6,14 +6,45 @@
 //! address ranges (to generate cache misses) without host memory cost.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Hashes a page number with one multiply and a fold of the high half
+/// into the low half (the table indexes buckets by the low bits, so
+/// power-of-two page strides must still spread). Every functional load
+/// and store looks its page up, and nothing depends on the table's
+/// order — [`Memory::digest`] XOR-folds pages and `pack` sorts them — so
+/// a fixed hasher replaces the seeded SipHash default. Its collision
+/// resistance buys nothing here: page numbers come from the simulated
+/// program, and a program that collides them only slows its own run.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type PageTable = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+
 /// Sparse, byte-addressable memory. Unwritten locations read as zero.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageTable,
 }
 
 impl Memory {
@@ -153,7 +184,7 @@ impl voltctl_snap::Pack for Memory {
 impl voltctl_snap::Unpack for Memory {
     fn unpack(r: &mut voltctl_snap::ByteReader<'_>) -> Result<Self, voltctl_snap::SnapError> {
         let n = r.get_count("memory page table")?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = PageTable::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let pageno = r.get_u64()?;

@@ -25,7 +25,7 @@ use voltctl_core::LaneLoop;
 use voltctl_isa::builder::ProgramBuilder;
 use voltctl_isa::reg::IntReg;
 use voltctl_isa::Program;
-use voltctl_telemetry::stopwatch::bench;
+use voltctl_telemetry::stopwatch::{bench, bench_interleaved, BenchResult};
 use voltctl_telemetry::MemoryRecorder;
 use voltctl_trace::FlightRecorder;
 
@@ -88,10 +88,13 @@ pub const BENCH_SCHEMA: u64 = 7;
 
 /// Lane gate: the batched lane path must beat the scalar controlled
 /// loop by at least this factor *within the same run*. A ratio, not an
-/// absolute time, so machine speed cancels out. [`run`] enforces it at
-/// full scale only: smoke chunks are a few thousand cycles, so one
-/// scheduler hiccup on a shared runner swings the ratio past the gate
-/// (CI gates the smoke artifact's best ratio itself).
+/// absolute time, so machine speed cancels out. Both sides are medians
+/// of round-robin samples, so a slow host phase hits both. [`run`]
+/// enforces it at full scale only: debug builds keep 5,000-cycle smoke
+/// chunks, where the per-iteration lane gather/scatter, not lane
+/// sharing, sets the ratio (the best ratio read 0.4–1.1 there). Release
+/// smoke runs use 50,000-cycle chunks (`SMOKE_BUDGET`), which read
+/// 3.3–5.2, and CI gates their best ratio itself.
 pub const MIN_LANE_SPEEDUP: f64 = 1.5;
 
 /// One measured point: a named code path.
@@ -113,11 +116,7 @@ pub struct BenchPoint {
 }
 
 impl BenchPoint {
-    fn from_result(
-        path: &'static str,
-        cycles: u64,
-        r: voltctl_telemetry::stopwatch::BenchResult,
-    ) -> BenchPoint {
+    fn from_result(path: &'static str, cycles: u64, r: BenchResult) -> BenchPoint {
         let cycles_per_sec = if r.median_ns_per_iter > 0.0 {
             cycles as f64 * 1e9 / r.median_ns_per_iter
         } else {
@@ -227,53 +226,55 @@ fn spin_program() -> Program {
     b.build().expect("spin program assembles")
 }
 
+/// Smoke budget: `(chunk cycles, samples)`. The lane points pay one
+/// gather (a CPU state image per lane) and one scatter per iteration;
+/// at a 5,000-cycle chunk that cost outweighs the shared `Cpu::step` and
+/// `lane_speedup_w*` measures gathering, not lane sharing. 50,000-cycle
+/// chunks amortize it as full scale does, in under two seconds of bench
+/// time. Debug builds keep the small chunk: their timings gate nothing,
+/// and the unit tests run the suite several times.
+const SMOKE_BUDGET: (u64, usize) = if cfg!(debug_assertions) {
+    (5_000, 2)
+} else {
+    (50_000, 5)
+};
+
 /// The closed-loop suite: `ControlLoop::step` throughput uncontrolled,
-/// controlled, with a live telemetry recorder, with a flight recorder
-/// attached (`NullTracer`'s cost is not a point: disabled tracing is
-/// compile-time dead code, identical to `uncontrolled`), and with the
-/// per-cycle `LoopSample` buffer on.
+/// controlled, lane-batched, with a live telemetry recorder, with a
+/// flight recorder attached (`NullTracer`'s cost is not a point:
+/// disabled tracing is compile-time dead code, identical to
+/// `uncontrolled`), and with the per-cycle `LoopSample` buffer on.
 ///
-/// The `*_overhead_frac` summary ratios are computed from each path's
-/// **best** (minimum) time, not the median: on shared/single-core CI
-/// runners the median absorbs scheduler noise that dwarfs the effects
-/// being measured, while the minimum is the classic noise-robust
-/// estimator of the true cost. Medians are still exported per point.
+/// The stepping paths are timed round-robin, one iteration each per
+/// sample ([`bench_interleaved`]), so a slow host phase lands on both
+/// sides of every ratio, and the `*_overhead_frac` and
+/// `lane_speedup_w*` summary ratios are taken between **medians**. The
+/// minimum is no robust estimator on a shared virtual machine: there a
+/// sample can also run up to 2× *faster* than its neighbours, and one
+/// such sample on one side of a best-of-N ratio swung
+/// `telemetry_overhead_frac` from −0.25 to +0.66 in ten 5-sample smoke
+/// runs, where the interleaved median ratio stayed within −0.16..+0.10.
+/// Best times are still exported per point.
 pub fn bench_loop(smoke: bool) -> BenchSuite {
-    let (chunk, samples) = if smoke {
-        (5_000u64, 2)
-    } else {
-        (200_000u64, 9)
-    };
+    let (chunk, samples) = if smoke { SMOKE_BUDGET } else { (200_000u64, 9) };
     let power = power_model();
     let pdn = pdn_at(2.0);
     let thresholds = Thresholds {
         v_low: 0.97,
         v_high: 1.03,
     };
+    let builder = || {
+        ControlLoop::builder(spin_program())
+            .cpu_config(cpu_config())
+            .power(power.clone())
+            .pdn(pdn.clone())
+    };
 
-    let mut uncontrolled = ControlLoop::builder(spin_program())
-        .cpu_config(cpu_config())
-        .power(power.clone())
-        .pdn(pdn.clone())
-        .build()
-        .expect("uncontrolled loop constructs");
-    let u = bench("loop.uncontrolled", samples, 1, || {
-        uncontrolled.step_n(chunk);
-        uncontrolled.report().cycles
-    });
-
-    let mut controlled = ControlLoop::builder(spin_program())
-        .cpu_config(cpu_config())
-        .power(power.clone())
-        .pdn(pdn.clone())
+    let mut uncontrolled = builder().build().expect("uncontrolled loop constructs");
+    let mut controlled = builder()
         .thresholds(thresholds)
         .build()
         .expect("controlled loop constructs");
-    let c = bench("loop.controlled", samples, 1, || {
-        controlled.step_n(chunk);
-        controlled.report().cycles
-    });
-
     // The lane path at widths 4 and 8: W byte-identical controlled
     // loops never diverge from each other, so one `Cpu::step` + power
     // evaluation per lockstep cycle serves all W lanes and a point's
@@ -282,65 +283,82 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
     // to scalar loops and re-gathering, so each iteration pays the same
     // gather/scatter cost the engine's chunk executor pays — the ratio
     // to `controlled` is an honest end-to-end lane speedup.
-    let mut lane_points = Vec::new();
-    let mut lane_speedups = Vec::new();
-    for (w, path, speedup_name) in [
-        (4usize, "lane_w4", "lane_speedup_w4"),
-        (8, "lane_w8", "lane_speedup_w8"),
-    ] {
-        let mut held: Option<Vec<ControlLoop>> = Some(
+    let lane_loops = |w: usize| -> Option<Vec<ControlLoop>> {
+        Some(
             (0..w)
                 .map(|_| {
-                    ControlLoop::builder(spin_program())
-                        .cpu_config(cpu_config())
-                        .power(power.clone())
-                        .pdn(pdn.clone())
+                    builder()
                         .thresholds(thresholds)
                         .build()
                         .expect("lane loop constructs")
                 })
                 .collect(),
-        );
-        let budgets = vec![chunk; w];
-        let l = bench(&format!("loop.{path}"), samples, 1, || {
-            let loops = held.take().expect("lane loops persist across samples");
-            let mut lanes = LaneLoop::gather(loops, &budgets);
-            lanes.run();
-            let cycles = lanes.report(0).cycles;
-            held = Some(lanes.into_loops());
-            cycles
-        });
-        // Best-of-N per simulated cycle on both sides (see below).
-        lane_speedups.push((
-            speedup_name,
-            (c.best_ns_per_iter / chunk as f64) / (l.best_ns_per_iter / (w as u64 * chunk) as f64),
-        ));
-        lane_points.push(BenchPoint::from_result(path, w as u64 * chunk, l));
-    }
-
-    let mut recorded = ControlLoop::builder(spin_program())
-        .cpu_config(cpu_config())
-        .power(power.clone())
-        .pdn(pdn.clone())
+        )
+    };
+    let (mut held4, mut held8) = (lane_loops(4), lane_loops(8));
+    let lane_step = |held: &mut Option<Vec<ControlLoop>>| {
+        let loops = held.take().expect("lane loops persist across samples");
+        let budgets = vec![chunk; loops.len()];
+        let mut lanes = LaneLoop::gather(loops, &budgets);
+        lanes.run();
+        let cycles = lanes.report(0).cycles;
+        *held = Some(lanes.into_loops());
+        cycles
+    };
+    let mut recorded = builder()
         .recorder(MemoryRecorder::new())
         .build()
         .expect("recorded loop constructs");
-    let r = bench("loop.recorded", samples, 1, || {
-        recorded.step_n(chunk);
-        recorded.report().cycles
-    });
-
-    let mut traced = ControlLoop::builder(spin_program())
-        .cpu_config(cpu_config())
-        .power(power.clone())
-        .pdn(pdn.clone())
+    let mut traced = builder()
         .tracer(FlightRecorder::new(voltctl_trace::DEFAULT_WINDOW))
         .build()
         .expect("traced loop constructs");
-    let t = bench("loop.traced", samples, 1, || {
-        traced.step_n(chunk);
-        traced.report().cycles
-    });
+    // The per-cycle LoopSample buffer (`record_trace`) is the fourth
+    // observability path; draining it per iteration keeps memory flat
+    // and charges the consumer-side cost the real users (fig11's CSV
+    // export, waveform scenarios) also pay.
+    let mut recording = builder()
+        .record_trace(true)
+        .build()
+        .expect("recording loop constructs");
+
+    let [u, c, l4, l8, r, t, rt]: [BenchResult; 7] = bench_interleaved(
+        samples,
+        &mut [
+            ("loop.uncontrolled", &mut || {
+                uncontrolled.step_n(chunk);
+                uncontrolled.report().cycles
+            }),
+            ("loop.controlled", &mut || {
+                controlled.step_n(chunk);
+                controlled.report().cycles
+            }),
+            ("loop.lane_w4", &mut || lane_step(&mut held4)),
+            ("loop.lane_w8", &mut || lane_step(&mut held8)),
+            ("loop.recorded", &mut || {
+                recorded.step_n(chunk);
+                recorded.report().cycles
+            }),
+            ("loop.traced", &mut || {
+                traced.step_n(chunk);
+                traced.report().cycles
+            }),
+            ("loop.recorded_trace", &mut || {
+                recording.step_n(chunk);
+                recording.take_trace().len() as u64
+            }),
+        ],
+    )
+    .try_into()
+    .expect("one result per path");
+    // Median per simulated cycle on both sides.
+    let lane_speedup = |w: u64, l: &BenchResult| {
+        (c.median_ns_per_iter / chunk as f64) / (l.median_ns_per_iter / (w * chunk) as f64)
+    };
+    let lane_speedups = [
+        ("lane_speedup_w4", lane_speedup(4, &l4)),
+        ("lane_speedup_w8", lane_speedup(8, &l8)),
+    ];
 
     // Snapshot economics: how long a mid-run save/restore takes and how
     // large the state is, per simulated cycle already covered — the
@@ -354,10 +372,7 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
     let snapshot_bytes = snapshot.len();
     let sv = bench("loop.snapshot_save", samples, 1, || controlled.save().len());
     let rs = bench("loop.snapshot_restore", samples, 1, || {
-        ControlLoop::builder(spin_program())
-            .cpu_config(cpu_config())
-            .power(power.clone())
-            .pdn(pdn.clone())
+        builder()
             .thresholds(thresholds)
             .restore(&snapshot)
             .expect("snapshot restores")
@@ -365,40 +380,23 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
             .cycles
     });
 
-    // The per-cycle LoopSample buffer (`record_trace`) is the fourth
-    // observability path; draining it per iteration keeps memory flat
-    // and charges the consumer-side cost the real users (fig11's CSV
-    // export, waveform scenarios) also pay.
-    let mut recording = ControlLoop::builder(spin_program())
-        .cpu_config(cpu_config())
-        .power(power)
-        .pdn(pdn)
-        .record_trace(true)
-        .build()
-        .expect("recording loop constructs");
-    let rt = bench("loop.recorded_trace", samples, 1, || {
-        recording.step_n(chunk);
-        recording.take_trace().len()
-    });
-
-    let mut points = vec![
+    let points = vec![
         BenchPoint::from_result("uncontrolled", chunk, u),
         BenchPoint::from_result("controlled", chunk, c),
-    ];
-    points.extend(lane_points);
-    points.extend([
+        BenchPoint::from_result("lane_w4", 4 * chunk, l4),
+        BenchPoint::from_result("lane_w8", 8 * chunk, l8),
         BenchPoint::from_result("recorded", chunk, r),
         BenchPoint::from_result("traced", chunk, t),
         BenchPoint::from_result("recorded_trace", chunk, rt),
         BenchPoint::from_result("snapshot_save", state_cycles, sv),
         BenchPoint::from_result("snapshot_restore", state_cycles, rs),
-    ]);
-    // Best-of-N ratios: see the doc comment — the minimum is the
-    // noise-robust estimator on shared runners, medians are not.
-    let telemetry_overhead = r.best_ns_per_iter / u.best_ns_per_iter - 1.0;
-    let tracing_overhead = t.best_ns_per_iter / u.best_ns_per_iter - 1.0;
-    let recording_overhead = rt.best_ns_per_iter / u.best_ns_per_iter - 1.0;
-    // MB/s from best-of-N for the same noise-robustness reason.
+    ];
+    // Ratios of interleaved medians: see the doc comment.
+    let telemetry_overhead = r.median_ns_per_iter / u.median_ns_per_iter - 1.0;
+    let tracing_overhead = t.median_ns_per_iter / u.median_ns_per_iter - 1.0;
+    let recording_overhead = rt.median_ns_per_iter / u.median_ns_per_iter - 1.0;
+    // Snapshot MB/s from best-of-N: these points run on their own, not
+    // interleaved, so the minimum is the least host-bound sample.
     let save_mb_per_sec = snapshot_bytes as f64 * 1e3 / sv.best_ns_per_iter;
     let restore_mb_per_sec = snapshot_bytes as f64 * 1e3 / rs.best_ns_per_iter;
     let mut summary = vec![

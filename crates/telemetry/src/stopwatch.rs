@@ -104,6 +104,40 @@ pub fn bench<T, F: FnMut() -> T>(name: &str, samples: usize, iters: u64, mut f: 
         }
         per_iter.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
+    summarize(name, iters, per_iter)
+}
+
+/// Times several named paths round-robin: after one warm-up iteration
+/// each, every sample times one iteration of each path in turn. A host
+/// slow-down then lands on all paths alike, so ratios between them stay
+/// honest on a shared machine, where timing each path's samples back to
+/// back would credit a slow phase to whichever path ran in it.
+pub fn bench_interleaved(
+    samples: usize,
+    paths: &mut [(&str, &mut dyn FnMut() -> u64)],
+) -> Vec<BenchResult> {
+    let samples = samples.max(1);
+    for (_, f) in paths.iter_mut() {
+        std::hint::black_box(f());
+    }
+    let mut per_iter = vec![Vec::with_capacity(samples); paths.len()];
+    for _ in 0..samples {
+        for ((_, f), times) in paths.iter_mut().zip(&mut per_iter) {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            times.push(t0.elapsed().as_nanos() as f64);
+        }
+    }
+    paths
+        .iter()
+        .zip(per_iter)
+        .map(|((name, _), times)| summarize(name, 1, times))
+        .collect()
+}
+
+/// Best and median of one path's per-iteration samples, printed as one
+/// `bench` line.
+fn summarize(name: &str, iters: u64, mut per_iter: Vec<f64>) -> BenchResult {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     let result = BenchResult {
         iters,
@@ -114,7 +148,7 @@ pub fn bench<T, F: FnMut() -> T>(name: &str, samples: usize, iters: u64, mut f: 
         "bench {name:<40} {:>12.1} ns/iter (best {:>12.1}, {} samples x {} iters, {:.2e}/s)",
         result.median_ns_per_iter,
         result.best_ns_per_iter,
-        samples,
+        per_iter.len(),
         iters,
         result.median_per_sec()
     );
@@ -151,5 +185,30 @@ mod tests {
         let r = bench("test.noop", 3, 100, || std::hint::black_box(1 + 1));
         assert!(r.median_ns_per_iter >= 0.0);
         assert!(r.best_ns_per_iter <= r.median_ns_per_iter);
+    }
+
+    #[test]
+    fn interleaved_bench_runs_each_path_once_per_sample() {
+        let (mut a, mut b) = (0u64, 0u64);
+        let rs = bench_interleaved(
+            4,
+            &mut [
+                ("test.a", &mut || {
+                    a += 1;
+                    a
+                }),
+                ("test.b", &mut || {
+                    b += 1;
+                    b
+                }),
+            ],
+        );
+        assert_eq!(rs.len(), 2);
+        // One warm-up iteration plus one per sample, for each path.
+        assert_eq!((a, b), (5, 5));
+        for r in rs {
+            assert_eq!(r.iters, 1);
+            assert!(r.best_ns_per_iter <= r.median_ns_per_iter);
+        }
     }
 }
