@@ -74,7 +74,15 @@ pub fn default_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("VOLTCTL_CHECK_DIR") {
         return PathBuf::from(dir);
     }
-    workspace_root().join("results").join("check")
+    results_dir("check")
+}
+
+/// The default directory for one kind of artifact:
+/// `<workspace root>/results/<name>`. Every `results/…` default — check,
+/// golden, trace, telemetry, profile, checkpoints and perf — resolves
+/// here, so one run's artifacts always land in one tree.
+pub fn results_dir(name: &str) -> PathBuf {
+    workspace_root().join("results").join(name)
 }
 
 /// The workspace root: the outermost ancestor of `CARGO_MANIFEST_DIR`

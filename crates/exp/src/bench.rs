@@ -54,7 +54,7 @@ impl Default for BenchOpts {
     fn default() -> BenchOpts {
         BenchOpts {
             smoke: false,
-            out: PathBuf::from(DEFAULT_PERF_DIR),
+            out: default_out_dir(),
             compare: None,
             tolerance: DEFAULT_TOLERANCE,
         }
@@ -65,8 +65,11 @@ impl Default for BenchOpts {
 /// baseline.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// Default artifact directory for perf baselines.
-pub const DEFAULT_PERF_DIR: &str = "results/perf";
+/// The default artifact directory for perf baselines (`bench --out`,
+/// `voltctl-serve bench --out`): `<workspace root>/results/perf`.
+pub fn default_out_dir() -> PathBuf {
+    voltctl_check::persist::results_dir("perf")
+}
 
 /// Schema version of the `BENCH_*.json` artifacts. Version 2 added
 /// `ns_per_cycle` per point and the `recorded_trace` loop path with its

@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use voltctl_core::{ControlLoop, LaneLoop, LaneOutcome};
-use voltctl_telemetry::{MemoryRecorder, Recorder};
+use voltctl_telemetry::{MemoryRecorder, Recorder, Stopwatch};
 use voltctl_trace::{Cause, FlightRecorder, MergedTrace, NullTracer, Tracer};
 
-use crate::profile::{NullProfiler, Profiler, Span};
+use crate::profile::SelfProfiler;
 use crate::scale::scaled_budget;
 
 /// Trace configuration for a run: when present in [`Ctx`], scenarios
@@ -351,21 +351,30 @@ pub struct RunOutput {
 /// its report. `jobs` is clamped to `[1, #cells]`; the cell order of
 /// the output is the grid order regardless of scheduling.
 pub fn run_scenario(scenario: &dyn Scenario, ctx: &Ctx, jobs: usize) -> RunOutput {
-    run_scenario_profiled(scenario, ctx, jobs, &NullProfiler)
+    run_unsharded(scenario, ctx, jobs, None)
 }
 
-/// [`run_scenario`] with self-profiling: each grid cell, the merge, and
-/// the render record wall-clock spans into `profiler` under folded
-/// stacks (`exp;<id>;grid;job<j>;<cell>`, `exp;<id>;merge`,
-/// `exp;<id>;render`). With [`NullProfiler`] the spans compile away and
-/// this *is* `run_scenario`. Both are the scenario driver
-/// ([`run_sharded`](crate::shard::run_sharded)) run without a
-/// checkpoint store.
-pub fn run_scenario_profiled<P: Profiler>(
+/// [`run_scenario`] with self-profiling: each grid cell (or lane
+/// chunk), the merge, and the render record wall-clock spans into
+/// `profiler` under folded stacks (`exp;<id>;grid;job<j>;<cell>`,
+/// `exp;<id>;lanes;{gather,step,scatter};chunk<c>`, `exp;<id>;merge`,
+/// `exp;<id>;render`).
+pub fn run_scenario_profiled(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
-    profiler: &P,
+    profiler: &SelfProfiler,
+) -> RunOutput {
+    run_unsharded(scenario, ctx, jobs, Some(profiler))
+}
+
+/// The scenario driver ([`run_sharded`](crate::shard::run_sharded)) run
+/// without a checkpoint store.
+fn run_unsharded(
+    scenario: &dyn Scenario,
+    ctx: &Ctx,
+    jobs: usize,
+    profiler: Option<&SelfProfiler>,
 ) -> RunOutput {
     let opts = crate::shard::ShardOpts::default();
     crate::shard::run_sharded(scenario, ctx, jobs, &opts, profiler, |_| {
@@ -388,12 +397,12 @@ pub fn run_scenario_profiled<P: Profiler>(
 /// # Panics
 ///
 /// Panics when `range` exceeds the scenario's grid.
-pub(crate) fn run_cells_profiled<P: Profiler>(
+pub(crate) fn run_cells_profiled(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
     range: std::ops::Range<usize>,
-    profiler: &P,
+    profiler: Option<&SelfProfiler>,
 ) -> Vec<CellResult> {
     let id = scenario.id();
     let labels = scenario.cells(ctx);
@@ -415,39 +424,19 @@ pub(crate) fn run_cells_profiled<P: Profiler>(
     }
 
     let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
     let base = range.start;
-
-    if jobs == 1 {
-        // Run inline: identical semantics, no thread overhead, and
-        // backtraces from narrative checks stay on the caller's stack.
-        for (k, slot) in slots.iter().enumerate() {
-            let span = Span::start(profiler);
-            let result = scenario.run_cell(ctx, base + k);
-            span.stop(profiler, &["exp", id, "grid", "job0", &labels[base + k]]);
-            *slot.lock().expect("unshared slot") = Some(result);
+    run_pool(jobs, n, |k, j| {
+        let sw = Stopwatch::started_if(profiler.is_some());
+        let result = scenario.run_cell(ctx, base + k);
+        if let Some(p) = profiler {
+            let job = format!("job{j}");
+            p.record(
+                &["exp", id, "grid", &job, &labels[base + k]],
+                sw.elapsed_ns(),
+            );
         }
-    } else {
-        std::thread::scope(|s| {
-            for j in 0..jobs {
-                let (slots, next, labels) = (&slots, &next, &labels);
-                s.spawn(move || {
-                    let job = format!("job{j}");
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        let span = Span::start(profiler);
-                        let result = scenario.run_cell(ctx, base + k);
-                        span.stop(profiler, &["exp", id, "grid", &job, &labels[base + k]]);
-                        *slots[k].lock().expect("cell slot poisoned") = Some(result);
-                    }
-                });
-            }
-        });
-    }
-
+        *slots[k].lock().expect("cell slot poisoned") = Some(result);
+    });
     collect_slots(slots, base, &labels)
 }
 
@@ -471,13 +460,13 @@ pub(crate) fn run_cells_profiled<P: Profiler>(
 ///
 /// Chunk boundaries affect only scheduling, never results — every
 /// lane's arithmetic is independent of its neighbours.
-fn run_cells_batched<P: Profiler>(
+fn run_cells_batched(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
     range: std::ops::Range<usize>,
     labels: &[String],
-    profiler: &P,
+    profiler: Option<&SelfProfiler>,
 ) -> Vec<CellResult> {
     let id = scenario.id();
     let n = range.len();
@@ -494,21 +483,21 @@ fn run_cells_batched<P: Profiler>(
     let n_chunks = n.div_ceil(chunk);
 
     let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    let worker = || loop {
-        let c = next.fetch_add(1, Ordering::Relaxed);
-        if c >= n_chunks {
-            break;
+    let record_phase = |sw: Stopwatch, phase: &str, c: usize| {
+        if let Some(p) = profiler {
+            let chunk_label = format!("chunk{c}");
+            p.record(&["exp", id, "lanes", phase, &chunk_label], sw.elapsed_ns());
         }
+    };
+
+    run_pool(jobs, n_chunks, |c, _| {
         let lo = c * chunk;
         let hi = (lo + chunk).min(n);
-        let chunk_label = format!("chunk{c}");
 
         // Gather: build every cell's lanes, dedupe exact replicas, and
         // gather the survivors into one lane loop. `origin[i]` maps
         // logical lane `i` to its simulated representative.
-        let span = Span::start(profiler);
+        let sw = Stopwatch::started_if(profiler.is_some());
         let mut sims = Vec::new();
         let mut budgets = Vec::new();
         let mut origin = Vec::new();
@@ -534,16 +523,16 @@ fn run_cells_batched<P: Profiler>(
             cell_spans.push((k, start, origin.len() - start));
         }
         let mut lanes = LaneLoop::gather(sims, &budgets);
-        span.stop(profiler, &["exp", id, "lanes", "gather", &chunk_label]);
+        record_phase(sw, "gather", c);
 
         // Step: run every lane in the chunk to completion.
-        let span = Span::start(profiler);
+        let sw = Stopwatch::started_if(profiler.is_some());
         lanes.run();
-        span.stop(profiler, &["exp", id, "lanes", "step", &chunk_label]);
+        record_phase(sw, "step", c);
 
         // Scatter: reshape each cell's lane outcomes (none for a
         // zero-lane cell) into its result.
-        let span = Span::start(profiler);
+        let sw = Stopwatch::started_if(profiler.is_some());
         for &(k, start, count) in &cell_spans {
             let outcomes: Vec<LaneOutcome> = origin[start..start + count]
                 .iter()
@@ -557,20 +546,36 @@ fn run_cells_batched<P: Profiler>(
             let result = scenario.finish_batch_cell(ctx, base + k, outcomes);
             *slots[k].lock().expect("cell slot poisoned") = Some(result);
         }
-        span.stop(profiler, &["exp", id, "lanes", "scatter", &chunk_label]);
-    };
-
-    if jobs == 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(worker);
-            }
-        });
-    }
-
+        record_phase(sw, "scatter", c);
+    });
     collect_slots(slots, base, labels)
+}
+
+/// The engine's one worker pool: runs work units `0..units` on up to
+/// `jobs` workers, calling `run(u, j)` for unit `u` on worker `j`.
+/// Workers claim units in index order from a shared counter; a unit
+/// writes its results wherever its index says, so scheduling never
+/// shows in the output. One job runs inline on the caller's thread: no
+/// thread overhead, and backtraces from narrative checks keep the
+/// caller's stack.
+fn run_pool(jobs: usize, units: usize, run: impl Fn(usize, usize) + Sync) {
+    if jobs <= 1 {
+        (0..units).for_each(|u| run(u, 0));
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for j in 0..jobs {
+            let (next, run) = (&next, &run);
+            s.spawn(move || loop {
+                let u = next.fetch_add(1, Ordering::Relaxed);
+                if u >= units {
+                    break;
+                }
+                run(u, j);
+            });
+        }
+    });
 }
 
 /// Unwraps a run's result slots in grid order.
@@ -608,19 +613,19 @@ fn collect_slots(
 /// `results` must cover the whole grid in grid order. `elapsed` on the
 /// returned output covers only merge+render; the driver overwrites it
 /// with the whole run's wall clock.
-pub(crate) fn assemble_run_profiled<P: Profiler>(
+pub(crate) fn assemble_run_profiled(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     results: Vec<CellResult>,
     jobs: usize,
-    profiler: &P,
+    profiler: Option<&SelfProfiler>,
 ) -> RunOutput {
     let started = Instant::now();
     let id = scenario.id();
     let n = results.len();
 
     // Grid-order merge: deterministic regardless of completion order.
-    let span = Span::start(profiler);
+    let sw = Stopwatch::started_if(profiler.is_some());
     let mut telemetry = MemoryRecorder::new();
     let mut trace = MergedTrace::new();
     for r in &results {
@@ -640,11 +645,15 @@ pub(crate) fn assemble_run_profiled<P: Profiler>(
         }
         telemetry.counter("trace.captures", trace.total_captures() as u64);
     }
-    span.stop(profiler, &["exp", id, "merge"]);
+    if let Some(p) = profiler {
+        p.record(&["exp", id, "merge"], sw.elapsed_ns());
+    }
 
-    let span = Span::start(profiler);
+    let sw = Stopwatch::started_if(profiler.is_some());
     let report = scenario.render(ctx, &results);
-    span.stop(profiler, &["exp", id, "render"]);
+    if let Some(p) = profiler {
+        p.record(&["exp", id, "render"], sw.elapsed_ns());
+    }
     RunOutput {
         report,
         telemetry,
@@ -724,6 +733,46 @@ mod tests {
             .sum();
         assert_eq!(cell_spans, 17, "one span per grid cell");
         assert!(!Counting.trace_aware(), "trace-awareness defaults off");
+    }
+
+    #[test]
+    fn profiled_lane_run_records_one_span_per_chunk_phase() {
+        let id = "fig14_sensor_delay_perf";
+        let scenario = crate::scenarios::find(id).expect("registered scenario");
+        let ctx = Ctx {
+            smoke: true,
+            ..Ctx::default()
+        };
+        assert!(scenario.batchable(), "{id} runs on the lane executor");
+        let p = crate::profile::SelfProfiler::new();
+        run_scenario_profiled(scenario, &ctx, 2, &p);
+
+        // 7 cells on 2 jobs: chunks of ceil(7 / 4) = 2 cells, 4 chunks.
+        assert_eq!(scenario.cells(&ctx).len(), 7);
+        let stacks = p.stacks();
+        for phase in ["gather", "step", "scatter"] {
+            let prefix = format!("exp;{id};lanes;{phase};");
+            let chunks: Vec<(String, u64)> = stacks
+                .iter()
+                .filter_map(|(s, st)| Some((s.strip_prefix(&prefix)?.to_string(), st.count)))
+                .collect();
+            let expected: Vec<(String, u64)> = (0..4).map(|c| (format!("chunk{c}"), 1)).collect();
+            assert_eq!(chunks, expected, "{phase} spans: {stacks:?}");
+        }
+        assert!(
+            !stacks
+                .iter()
+                .any(|(s, _)| s.starts_with(&format!("exp;{id};grid;"))),
+            "no per-cell spans on the lane path: {stacks:?}"
+        );
+        let count = |stack: &str| {
+            stacks
+                .iter()
+                .find(|(s, _)| s == stack)
+                .map(|(_, st)| st.count)
+        };
+        assert_eq!(count(&format!("exp;{id};merge")), Some(1));
+        assert_eq!(count(&format!("exp;{id};render")), Some(1));
     }
 
     #[test]

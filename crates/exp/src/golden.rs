@@ -49,9 +49,7 @@ impl Default for GoldenOpts {
 
 /// The default snapshot directory: `<workspace root>/results/golden`.
 pub fn default_dir() -> PathBuf {
-    voltctl_check::persist::workspace_root()
-        .join("results")
-        .join("golden")
+    voltctl_check::persist::results_dir("golden")
 }
 
 /// One scenario's snapshot verdict.

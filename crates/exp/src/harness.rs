@@ -19,7 +19,7 @@ use voltctl_core::prelude::*;
 use voltctl_cpu::CpuConfig;
 use voltctl_pdn::PdnModel;
 use voltctl_power::{PowerModel, PowerParams};
-use voltctl_telemetry::MemoryRecorder;
+use voltctl_telemetry::{MemoryRecorder, Stopwatch};
 use voltctl_workloads::{spec, stressmark, trace, Workload};
 
 use crate::engine::{BatchLane, Ctx};
@@ -67,7 +67,8 @@ pub fn pdn_at(percent: f64) -> PdnModel {
     }
     // Only a cache miss is worth a profiler span: hits are a vector
     // scan. The first miss also solves the target.
-    let span = crate::profile::global().map(crate::profile::Span::start);
+    let profiler = crate::profile::global();
+    let sw = Stopwatch::started_if(profiler.is_some());
     let pdn = TARGET
         .get_or_init(|| {
             PdnModel::paper_default()
@@ -77,8 +78,11 @@ pub fn pdn_at(percent: f64) -> PdnModel {
         })
         .scaled(percent)
         .expect("calibration succeeds for the standard machine");
-    if let (Some(span), Some(p)) = (span, crate::profile::global()) {
-        span.stop(p, &["harness", "calibrate", &format!("p{percent}")]);
+    if let Some(p) = profiler {
+        p.record(
+            &["harness", "calibrate", &format!("p{percent}")],
+            sw.elapsed_ns(),
+        );
     }
     cache.push((key, pdn.clone()));
     pdn
@@ -91,13 +95,14 @@ pub fn tuned_stressmark() -> Workload {
     static TUNED: OnceLock<Workload> = OnceLock::new();
     TUNED
         .get_or_init(|| {
-            let span = crate::profile::global().map(crate::profile::Span::start);
+            let profiler = crate::profile::global();
+            let sw = Stopwatch::started_if(profiler.is_some());
             let config = cpu_config();
             let power = power_model();
             let period = pdn_at(2.0).resonant_period_cycles();
             let (_, wl) = stressmark::tune(period, &config, &power);
-            if let (Some(span), Some(p)) = (span, crate::profile::global()) {
-                span.stop(p, &["harness", "tune", "stressmark"]);
+            if let Some(p) = profiler {
+                p.record(&["harness", "tune", "stressmark"], sw.elapsed_ns());
             }
             wl
         })
@@ -151,7 +156,8 @@ pub fn solve_for(
     // of redundantly re-solving (same policy as the calibration cache);
     // requests for configurations on other shards proceed unblocked.
     solve_cache().get_or_insert_with(&key, || {
-        let span = crate::profile::global().map(crate::profile::Span::start);
+        let profiler = crate::profile::global();
+        let sw = Stopwatch::started_if(profiler.is_some());
         let power = power_model();
         let pdn = pdn_at(percent);
         let setup = SolveSetup::new(
@@ -162,15 +168,9 @@ pub fn solve_for(
             delay,
         );
         let solved = solve_thresholds(&setup);
-        if let (Some(span), Some(p)) = (span, crate::profile::global()) {
-            span.stop(
-                p,
-                &[
-                    "harness",
-                    "solve",
-                    &format!("{scope:?}.d{delay}.p{percent}"),
-                ],
-            );
+        if let Some(p) = profiler {
+            let config = format!("{scope:?}.d{delay}.p{percent}");
+            p.record(&["harness", "solve", &config], sw.elapsed_ns());
         }
         solved
     })

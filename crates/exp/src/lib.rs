@@ -39,9 +39,9 @@ pub use harness::{
     solve_for, spec_suite, tuned_stressmark, variable_eight, SweepRow,
 };
 pub use manifest::Manifest;
-pub use profile::{NullProfiler, Profiler, SelfProfiler, Span};
+pub use profile::SelfProfiler;
 pub use report::{ascii_chart, pct, TextTable};
-pub use scale::{env_scale, parse_scale, scaled_budget, MIN_CYCLES};
+pub use scale::{parse_scale, scaled_budget, MIN_CYCLES};
 pub use scenarios::{find, listing, registry};
 pub use shard::{
     checkpoint_file, ctx_fingerprint, decode_checkpoint, encode_checkpoint, plan_shards,

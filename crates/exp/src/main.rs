@@ -18,9 +18,9 @@ use std::path::PathBuf;
 use std::slice::Iter;
 use std::time::Instant;
 use voltctl_exp::engine::{default_jobs, Ctx, Scenario, TraceSpec};
-use voltctl_exp::profile::{self, Profiler, SelfProfiler};
+use voltctl_exp::profile::{self, SelfProfiler};
 use voltctl_exp::scenarios::{find, registry};
-use voltctl_exp::telemetry::{default_out_dir, env_mode, export_run, parse_mode, Mode};
+use voltctl_exp::telemetry::{export_run, parse_mode, Mode};
 use voltctl_exp::{parse_scale, run_sharded, Manifest, ShardDone, ShardOpts, TextTable};
 
 const USAGE: &str = "\
@@ -38,8 +38,7 @@ USAGE:
 OPTIONS:
     --jobs <N>            worker threads per scenario grid
                           (default: all hardware threads)
-    --scale <X>           cycle-budget scale factor (default: 1.0,
-                          or VOLTCTL_SCALE)
+    --scale <X>           cycle-budget scale factor (default: 1.0)
     --smoke               tiny budgets, narrative checks off (CI plumbing)
     --trace               attach the emergency flight recorder to
                           trace-aware scenarios and write
@@ -50,8 +49,7 @@ OPTIONS:
                           implies --trace
     --trace-out <DIR>     trace artifact directory (default: results/trace)
     --min-captures <N>    fail unless at least N emergencies were captured
-    --telemetry <MODE>    off | summary | jsonl | csv
-                          (default: VOLTCTL_TELEMETRY or off)
+    --telemetry <MODE>    off | summary | jsonl | csv (default: off)
     --telemetry-out <DIR> snapshot directory (default: results/telemetry)
     --profile             self-profile the engine: per-stage summary on
                           stderr + a speedscope/inferno-loadable
@@ -120,11 +118,7 @@ impl RunArgs {
         self.checkpoint_dir
             .clone()
             .or_else(|| self.resume.clone())
-            .unwrap_or_else(|| {
-                voltctl_check::persist::workspace_root()
-                    .join("results")
-                    .join("checkpoints")
-            })
+            .unwrap_or_else(|| voltctl_check::persist::results_dir("checkpoints"))
     }
 }
 
@@ -161,19 +155,16 @@ fn parse_run_args(args: &[String]) -> RunArgs {
         ids: Vec::new(),
         all: false,
         jobs: default_jobs(),
-        ctx: Ctx::new(voltctl_exp::env_scale()),
-        mode: env_mode(),
+        ctx: Ctx::new(1.0),
+        mode: Mode::Off,
         trace_out: voltctl_exp::trace::default_out_dir(),
         min_captures: 0,
         profile: false,
-        profile_out: voltctl_check::persist::workspace_root()
-            .join("results")
-            .join("profile"),
+        profile_out: voltctl_check::persist::results_dir("profile"),
         shards: None,
         resume: None,
         checkpoint_dir: None,
     };
-    out.ctx.telemetry_out = default_out_dir();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -308,18 +299,14 @@ fn cmd_run(args: &[String]) {
         if k > 0 {
             println!();
         }
-        let (ctx, jobs, opts) = (&run.ctx, run.jobs, &shard_opts);
-        let sharded = match profiler {
-            Some(p) => run_sharded(*scenario, ctx, jobs, opts, p, stop_on_write_error),
-            None => run_sharded(
-                *scenario,
-                ctx,
-                jobs,
-                opts,
-                &voltctl_exp::NullProfiler,
-                stop_on_write_error,
-            ),
-        }
+        let sharded = run_sharded(
+            *scenario,
+            &run.ctx,
+            run.jobs,
+            &shard_opts,
+            profiler,
+            stop_on_write_error,
+        )
         .unwrap_or_else(|msg| fail(&msg));
         if let Some(dir) = &shard_opts.dir {
             eprintln!(

@@ -2,11 +2,14 @@
 //! pipeline's stages, exported as a folded-stacks file plus a per-stage
 //! summary table.
 //!
-//! The design mirrors the telemetry layer's null-object pattern:
-//! [`Profiler`] is a trait with a compile-time `ENABLED` flag,
-//! [`NullProfiler`] is the free default (no clock reads, spans compile
-//! away), and [`SelfProfiler`] is the live implementation behind
-//! `voltctl-exp run --profile`.
+//! The engine takes its profiler as a plain `Option<&SelfProfiler>`:
+//! `None` (every unprofiled run) reads no clock, and `Some` is the
+//! profiler behind `voltctl-exp run --profile`. Spans fire once per
+//! grid cell, lane chunk or stage — never per simulated cycle — so the
+//! check is one branch per span. Each span is a
+//! [`Stopwatch`](voltctl_telemetry::Stopwatch) started with
+//! `started_if(profiler.is_some())` whose `elapsed_ns()` goes to
+//! [`SelfProfiler::record`].
 //!
 //! Span identities are *folded stacks* — frame names joined with `;`,
 //! e.g. `exp;fig08_stressmark;grid;job0;traced-controlled` — so the
@@ -19,6 +22,8 @@
 //!
 //! * `grid;job<j>;<cell>` — each grid cell, tagged with the worker that
 //!   ran it;
+//! * `lanes;{gather,step,scatter};chunk<c>` — the three phases of each
+//!   lane chunk, for scenarios the lane executor runs;
 //! * `merge`, `render`, `export` — the engine's serial tail;
 //! * `harness;solve;…` / `harness;calibrate;…` — the memoized solver and
 //!   PDN-calibration passes, recorded only on cache misses (hits cost a
@@ -29,34 +34,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use crate::report::TextTable;
-
-/// A sink for wall-clock spans, identified by folded-stack frames.
-///
-/// Implementations must be `Sync`: grid cells record from worker
-/// threads with only `&self`.
-pub trait Profiler: Sync {
-    /// Whether spans around this profiler should read the clock at all.
-    /// When `false` the surrounding code paths compile to nothing.
-    const ENABLED: bool = true;
-
-    /// Credits `ns` nanoseconds to the span stack `frames`
-    /// (outermost frame first).
-    fn record(&self, frames: &[&str], ns: u64);
-}
-
-/// The disabled profiler: never reads a clock, records nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullProfiler;
-
-impl Profiler for NullProfiler {
-    const ENABLED: bool = false;
-
-    #[inline]
-    fn record(&self, _frames: &[&str], _ns: u64) {}
-}
 
 /// Aggregate statistics for one span stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,28 +46,29 @@ pub struct SpanStat {
     pub total_ns: u64,
 }
 
-/// The live profiler: a mutex-guarded map from folded stack to
-/// aggregate span statistics. Recording is per-span (cells, stages),
-/// not per-cycle, so the lock is far off every hot path.
+/// The profiler: a mutex-guarded map from folded stack to aggregate
+/// span statistics. Recording is per-span (cells, stages), not
+/// per-cycle, so the lock is far off every hot path. It is `Sync`: grid
+/// cells record from worker threads with only `&self`.
 #[derive(Debug, Default)]
 pub struct SelfProfiler {
     spans: Mutex<BTreeMap<String, SpanStat>>,
-}
-
-impl Profiler for SelfProfiler {
-    fn record(&self, frames: &[&str], ns: u64) {
-        let key = frames.join(";");
-        let mut spans = self.spans.lock().expect("profiler lock poisoned");
-        let stat = spans.entry(key).or_default();
-        stat.count += 1;
-        stat.total_ns += ns;
-    }
 }
 
 impl SelfProfiler {
     /// An empty profiler.
     pub fn new() -> SelfProfiler {
         SelfProfiler::default()
+    }
+
+    /// Credits `ns` nanoseconds to the span stack `frames` (outermost
+    /// frame first).
+    pub fn record(&self, frames: &[&str], ns: u64) {
+        let key = frames.join(";");
+        let mut spans = self.spans.lock().expect("profiler lock poisoned");
+        let stat = spans.entry(key).or_default();
+        stat.count += 1;
+        stat.total_ns += ns;
     }
 
     /// Whether anything has been recorded.
@@ -178,36 +158,6 @@ pub fn stage_of(stack: &str) -> &str {
     }
 }
 
-/// A started span; stopping it credits the elapsed wall clock to a
-/// profiler under a folded stack. Construction against a
-/// [`NullProfiler`] reads no clock and `stop` is a no-op.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a span only measures anything when stopped"]
-pub struct Span {
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// Starts a span destined for `_p` (reads the clock only when
-    /// `P::ENABLED`).
-    pub fn start<P: Profiler>(_p: &P) -> Span {
-        Span {
-            start: if P::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Stops the span, crediting its duration to `p` under `frames`.
-    pub fn stop<P: Profiler>(self, p: &P, frames: &[&str]) {
-        if let Some(start) = self.start {
-            p.record(frames, start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 static GLOBAL: OnceLock<SelfProfiler> = OnceLock::new();
 
 /// Installs (or returns the already-installed) process-global profiler.
@@ -227,24 +177,17 @@ pub fn global() -> Option<&'static SelfProfiler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_profiler_reads_no_clock() {
-        let p = NullProfiler;
-        let span = Span::start(&p);
-        assert!(span.start.is_none(), "disabled span must not read a clock");
-        span.stop(&p, &["a", "b"]);
-    }
+    use voltctl_telemetry::Stopwatch;
 
     #[test]
     fn spans_fold_into_stacks() {
         let p = SelfProfiler::new();
         for _ in 0..3 {
-            let span = Span::start(&p);
+            let sw = Stopwatch::started_if(true);
             std::hint::black_box((0..100).sum::<u64>());
-            span.stop(&p, &["exp", "x", "grid", "job0", "cell0"]);
+            p.record(&["exp", "x", "grid", "job0", "cell0"], sw.elapsed_ns());
         }
-        Span::start(&p).stop(&p, &["exp", "x", "merge"]);
+        p.record(&["exp", "x", "merge"], 0);
         let stacks = p.stacks();
         assert_eq!(stacks.len(), 2);
         assert_eq!(stacks[0].0, "exp;x;grid;job0;cell0");

@@ -1,17 +1,8 @@
-//! Cycle-budget scaling (`--scale` / `VOLTCTL_SCALE`).
+//! Cycle-budget scaling (`--scale`).
 //!
 //! Every experiment declares its cycle budgets at paper scale; a single
 //! multiplicative factor shrinks them for quick passes
-//! (`--scale 0.2`) or stretches them for long runs (`--scale 10`). The
-//! factor comes from the `--scale` CLI flag when given, otherwise from
-//! the `VOLTCTL_SCALE` environment variable.
-//!
-//! The environment variable is parsed **once per process** and cached:
-//! a malformed value (`VOLTCTL_SCALE=O.2`) warns exactly once on stderr
-//! and falls back to 1.0, instead of re-warning at every call site as
-//! the old per-binary copies of this logic did.
-
-use std::sync::OnceLock;
+//! (`--scale 0.2`) or stretches them for long runs (`--scale 10`).
 
 /// Minimum cycle budget after scaling: below this the simulated
 /// transients dominate and the numbers mean nothing.
@@ -24,29 +15,6 @@ pub fn parse_scale(raw: &str) -> Result<f64, String> {
         Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
         _ => Err(format!("{raw:?} is not a positive number")),
     }
-}
-
-/// The process-wide scale from `VOLTCTL_SCALE`, read and parsed once.
-/// Unset means 1.0; unparseable warns (once) and means 1.0.
-pub fn env_scale() -> f64 {
-    static SCALE: OnceLock<f64> = OnceLock::new();
-    *SCALE.get_or_init(|| match std::env::var("VOLTCTL_SCALE") {
-        Err(std::env::VarError::NotPresent) => 1.0,
-        Err(e) => {
-            voltctl_telemetry::warn(
-                "exp.scale",
-                &format!("VOLTCTL_SCALE unreadable ({e}); using scale 1.0"),
-            );
-            1.0
-        }
-        Ok(raw) => parse_scale(&raw).unwrap_or_else(|reason| {
-            voltctl_telemetry::warn(
-                "exp.scale",
-                &format!("VOLTCTL_SCALE={reason}; using scale 1.0"),
-            );
-            1.0
-        }),
-    })
 }
 
 /// Applies a scale factor to a default cycle budget, with the

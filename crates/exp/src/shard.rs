@@ -44,7 +44,7 @@ use voltctl_snap::{
 };
 
 use crate::engine::{assemble_run_profiled, run_cells_profiled, CellResult, Ctx, RunOutput};
-use crate::profile::Profiler;
+use crate::profile::SelfProfiler;
 
 /// Version stamped on (and required of) every section in a shard
 /// checkpoint.
@@ -437,12 +437,12 @@ fn write_replacing(dir: &Path, file: &str, bytes: &[u8]) -> std::io::Result<Path
 /// # Errors
 ///
 /// Returns the `reason` of the `Break` that stopped the run.
-pub fn run_sharded<P: Profiler>(
+pub fn run_sharded(
     scenario: &dyn crate::engine::Scenario,
     ctx: &Ctx,
     jobs: usize,
     opts: &ShardOpts,
-    profiler: &P,
+    profiler: Option<&SelfProfiler>,
     mut on_shard: impl FnMut(&ShardDone) -> ControlFlow<String>,
 ) -> Result<ShardRun, String> {
     let started = Instant::now();
@@ -512,7 +512,6 @@ pub fn run_sharded<P: Profiler>(
 mod tests {
     use super::*;
     use crate::engine::Scenario;
-    use crate::profile::NullProfiler;
     use std::sync::atomic::AtomicUsize;
     use voltctl_telemetry::Recorder as _;
 
@@ -574,15 +573,7 @@ mod tests {
     }
 
     fn run(scenario: &Grid, ctx: &Ctx, jobs: usize, opts: &ShardOpts) -> ShardRun {
-        run_sharded(
-            scenario,
-            ctx,
-            jobs,
-            opts,
-            &NullProfiler,
-            stop_on_write_error,
-        )
-        .unwrap()
+        run_sharded(scenario, ctx, jobs, opts, None, stop_on_write_error).unwrap()
     }
 
     fn opts(shards: Option<usize>, resume: Option<&Path>, dir: &Path) -> ShardOpts {
@@ -619,7 +610,7 @@ mod tests {
     fn checkpoint_round_trips_cells_exactly() {
         let ctx = Ctx::default();
         let range = 1..4;
-        let cells = run_cells_profiled(&grid(5), &ctx, 1, range.clone(), &NullProfiler);
+        let cells = run_cells_profiled(&grid(5), &ctx, 1, range.clone(), None);
         let meta = ShardMeta::new("shard_grid", &ctx, 0, 2, &range, 5);
         let bytes = encode_checkpoint(&meta, &cells);
         let (meta2, cells2) = decode_checkpoint(&bytes).unwrap();
@@ -639,7 +630,7 @@ mod tests {
     #[test]
     fn damaged_checkpoints_are_rejected_not_half_loaded() {
         let ctx = Ctx::default();
-        let cells = run_cells_profiled(&grid(3), &ctx, 1, 0..3, &NullProfiler);
+        let cells = run_cells_profiled(&grid(3), &ctx, 1, 0..3, None);
         let meta = ShardMeta::new("shard_grid", &ctx, 0, 1, &(0..3), 3);
         let good = encode_checkpoint(&meta, &cells);
         for cut in (0..good.len()).step_by(13) {
@@ -726,7 +717,7 @@ mod tests {
                 shards: Some(3),
                 ..ShardOpts::default()
             },
-            &NullProfiler,
+            None,
             |done| {
                 seen.borrow_mut().push(done.clone());
                 ControlFlow::Break(format!("stop after shard {}", done.shard))
@@ -764,7 +755,7 @@ mod tests {
             &Ctx::default(),
             1,
             &opts(Some(3), None, &dir),
-            &NullProfiler,
+            None,
             stop_on_write_error,
         )
         .unwrap_err();

@@ -4,16 +4,14 @@
 //! [`MemoryRecorder`](voltctl_telemetry::MemoryRecorder) that rides back
 //! on its `CellResult`, and the engine merges them in grid order (so the
 //! aggregate is deterministic regardless of worker count). This module
-//! owns what happens *around* that: which export mode is active
-//! (`--telemetry` flag or the `VOLTCTL_TELEMETRY` environment variable),
-//! where files go (`--telemetry-out`, default `results/telemetry/`), and
-//! the export itself.
+//! owns what happens *around* that: which export mode is active (the
+//! `--telemetry` flag), where files go (`--telemetry-out`, default
+//! `<workspace root>/results/telemetry/`), and the export itself.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use voltctl_telemetry::{export, MemoryRecorder};
 
-/// Export format selected by `--telemetry` / `VOLTCTL_TELEMETRY`.
+/// Export format selected by `--telemetry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Telemetry disabled (the default).
@@ -68,19 +66,9 @@ pub fn parse_mode(raw: &str) -> Mode {
     })
 }
 
-/// The mode from `VOLTCTL_TELEMETRY`, read once per process.
-pub fn env_mode() -> Mode {
-    static MODE: OnceLock<Mode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("VOLTCTL_TELEMETRY")
-            .map(|raw| parse_mode(&raw))
-            .unwrap_or(Mode::Off)
-    })
-}
-
-/// The default export directory.
+/// The default export directory: `<workspace root>/results/telemetry`.
 pub fn default_out_dir() -> PathBuf {
-    PathBuf::from(export::DEFAULT_OUT_DIR)
+    voltctl_check::persist::results_dir("telemetry")
 }
 
 /// Exports a run's merged telemetry according to `mode`: a stderr
@@ -128,5 +116,12 @@ mod tests {
             assert_eq!(Mode::from_name(mode.name()), Some(mode));
         }
         assert_eq!(Mode::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn default_artifact_dirs_resolve_under_the_workspace_root() {
+        let results = voltctl_check::persist::workspace_root().join("results");
+        assert_eq!(default_out_dir(), results.join("telemetry"));
+        assert_eq!(crate::bench::default_out_dir(), results.join("perf"));
     }
 }

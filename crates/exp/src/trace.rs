@@ -24,9 +24,7 @@ use voltctl_trace::{AttributionConfig, Forensics, MergedTrace};
 
 /// The default trace-artifact directory: `<workspace root>/results/trace`.
 pub fn default_out_dir() -> PathBuf {
-    voltctl_check::persist::workspace_root()
-        .join("results")
-        .join("trace")
+    voltctl_check::persist::results_dir("trace")
 }
 
 /// The attribution configuration used by every exported report: the

@@ -10,7 +10,6 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use voltctl_exp::engine::{run_scenario, Ctx, RunOutput, TraceSpec};
-use voltctl_exp::profile::NullProfiler;
 use voltctl_exp::scenarios::find;
 use voltctl_exp::shard::{checkpoint_file, run_sharded, ShardOpts};
 use voltctl_telemetry::export;
@@ -41,7 +40,7 @@ fn sharded(id: &str, ctx: &Ctx, shards: usize, jobs: usize, dir: &Path) -> RunOu
         resume: None,
         dir: Some(dir.to_path_buf()),
     };
-    run_sharded(scenario, ctx, jobs, &opts, &NullProfiler, |_| {
+    run_sharded(scenario, ctx, jobs, &opts, None, |_| {
         ControlFlow::Continue(())
     })
     .expect("sharded run succeeds")
@@ -128,7 +127,7 @@ fn resume_reaches_the_same_bytes_without_recomputing() {
             resume: None,
             dir: Some(dir.clone()),
         },
-        &NullProfiler,
+        None,
         |_| ControlFlow::Continue(()),
     )
     .unwrap();
@@ -151,7 +150,7 @@ fn resume_reaches_the_same_bytes_without_recomputing() {
             resume: Some(dir.clone()),
             dir: Some(dir.clone()),
         },
-        &NullProfiler,
+        None,
         |_| ControlFlow::Continue(()),
     )
     .unwrap();

@@ -29,8 +29,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use voltctl_check::Json;
-use voltctl_exp::bench::DEFAULT_PERF_DIR;
 use voltctl_exp::{find, run_scenario, BenchPoint, BenchSuite, Ctx};
+use voltctl_telemetry::Rng;
 
 /// The seeded request mix: a spread of instant analytic scenarios and
 /// seconds-class control-loop scenarios, so full-scale runs are
@@ -65,7 +65,7 @@ pub struct BenchOpts {
     /// Concurrent closed-loop client connections (and, for an
     /// in-process daemon, its worker count).
     pub connections: usize,
-    /// Mix seed: request `i` runs `MIX[splitmix64(seed + i) % MIX.len()]`.
+    /// Mix seed: request `i` runs [`mixed_scenario`]`(seed, i)`.
     pub seed: u64,
 }
 
@@ -74,7 +74,7 @@ impl Default for BenchOpts {
         BenchOpts {
             addr: None,
             smoke: false,
-            out: PathBuf::from(DEFAULT_PERF_DIR),
+            out: voltctl_exp::bench::default_out_dir(),
             requests: 24,
             connections: 4,
             seed: 0x5EED_C0DE,
@@ -95,16 +95,11 @@ pub struct BenchReport {
     pub paths: Vec<PathBuf>,
 }
 
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The scenario for request `i` under `seed`.
+/// The scenario for request `i` under `seed`: the first SplitMix64 draw
+/// seeded at `seed + i` picks from [`MIX`].
 pub fn mixed_scenario(seed: u64, i: usize) -> &'static str {
-    MIX[(splitmix64(seed.wrapping_add(i as u64)) % MIX.len() as u64) as usize]
+    let draw = Rng::new(seed.wrapping_add(i as u64)).next_u64();
+    MIX[(draw % MIX.len() as u64) as usize]
 }
 
 fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
@@ -384,6 +379,22 @@ mod tests {
             .filter(|&i| mixed_scenario(1, i) == mixed_scenario(2, i))
             .count();
         assert!(same < 32, "seed must influence the mix");
+        // Pinned picks: changing the generator would silently reshuffle
+        // every recorded bench mix.
+        for (seed, i, id) in [
+            (0, 0, "fig02_response"),
+            (7, 3, "fig01_itrs"),
+            (0x5EED_C0DE, 0, "fig09_stressmark_vs_worst"),
+            (0x5EED_C0DE, 5, "fig09_stressmark_vs_worst"),
+            (u64::MAX, 1, "fig02_response"),
+            (42, 23, "fig03_narrow_spike"),
+        ] {
+            assert_eq!(
+                mixed_scenario(seed, i),
+                id,
+                "mixed_scenario({seed:#x}, {i})"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use voltctl_exp::telemetry::Mode;
 use voltctl_exp::{
-    ctx_fingerprint, find, plan_shards, run_sharded, NullProfiler, Scenario, ShardDone, ShardOpts,
+    ctx_fingerprint, find, plan_shards, run_sharded, Scenario, ShardDone, ShardOpts,
 };
 use voltctl_telemetry::export::{create_dir_fresh, write_file_fresh};
 
@@ -139,7 +139,7 @@ fn execute(table: &JobTable, cfg: &RunnerConfig, claimed: &Claimed) -> JobOutcom
             ControlFlow::Continue(())
         }
     };
-    match run_sharded(scenario, &ctx, 1, &opts, &NullProfiler, on_shard) {
+    match run_sharded(scenario, &ctx, 1, &opts, None, on_shard) {
         Ok(run) => {
             write_artifacts(table, &artifact_dir, scenario, spec, &run.output);
             JobOutcome::Done(run.output.report.into_bytes(), run.output.cells)

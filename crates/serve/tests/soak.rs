@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use voltctl_check::Json;
 use voltctl_serve::{request, spawn, ServeConfig};
+use voltctl_telemetry::Rng;
 
 /// Cheap, instant-runtime scenarios: the soak is about service
 /// behaviour, not simulation depth, so each job should take
@@ -43,13 +44,6 @@ const MIX: &[&str] = &[
 const CLIENTS: usize = 6;
 const REQUESTS_PER_CLIENT: usize = 10;
 const QUEUE_BOUND: usize = 4;
-
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[test]
 fn soak_mixed_load_with_random_cancellations() {
@@ -100,7 +94,7 @@ fn soak_mixed_load_with_random_cancellations() {
             let expected = &expected;
             scope.spawn(move || {
                 for req in 0..REQUESTS_PER_CLIENT as u64 {
-                    let roll = splitmix64(client * 1_000 + req);
+                    let roll = Rng::new(client * 1_000 + req).next_u64();
                     let scenario = MIX[(roll % MIX.len() as u64) as usize];
                     let body = format!("{{\"scenario\":\"{scenario}\",\"smoke\":true}}");
 
@@ -129,7 +123,9 @@ fn soak_mixed_load_with_random_cancellations() {
                     // ~25% of jobs get a cancel at a random point.
                     let cancel = roll.is_multiple_of(4);
                     if cancel {
-                        std::thread::sleep(std::time::Duration::from_millis(splitmix64(roll) % 4));
+                        std::thread::sleep(std::time::Duration::from_millis(
+                            Rng::new(roll).next_u64() % 4,
+                        ));
                         let resp = request(addr, "DELETE", &format!("/jobs/{id}"), None)
                             .expect("cancel must not error");
                         assert_eq!(resp.status, 200, "cancel of a live id: {}", resp.text());

@@ -262,9 +262,6 @@ pub fn to_summary(run: &str, snap: &Snapshot) -> String {
     out
 }
 
-/// The default export directory for structured snapshots.
-pub const DEFAULT_OUT_DIR: &str = "results/telemetry";
-
 /// Writes `contents` to `dir/file`, creating `dir` as needed, and returns
 /// the full path. Silently overwrites — reserved for artifacts with
 /// regenerate-in-place semantics (perf baselines); run exports go through
