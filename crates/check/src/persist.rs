@@ -9,8 +9,9 @@
 //! case passes, the property's stale records are cleared.
 //!
 //! The file lives under `<workspace root>/results/check/` by default
-//! (resolved by walking up from `CARGO_MANIFEST_DIR`, so every crate's
-//! test binary agrees on one file); `VOLTCTL_CHECK_DIR` overrides it.
+//! (resolved by walking up from this crate's source directory, fixed at
+//! build time, so every crate's test binary agrees on one file);
+//! `VOLTCTL_CHECK_DIR` overrides it.
 //! Access within a process is serialized by a global mutex; concurrent
 //! *processes* (parallel `cargo test` binaries) only ever append or
 //! rewrite whole files, so the worst cross-process race loses a
@@ -67,9 +68,7 @@ impl FailureRecord {
 static FILE_LOCK: Mutex<()> = Mutex::new(());
 
 /// The default persistence directory: `VOLTCTL_CHECK_DIR`, else
-/// `<workspace root>/results/check` (workspace root found by walking up
-/// from `CARGO_MANIFEST_DIR` to the outermost `Cargo.toml` declaring
-/// `[workspace]`), else `results/check` under the current directory.
+/// `<workspace root>/results/check` (see [`workspace_root`]).
 pub fn default_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("VOLTCTL_CHECK_DIR") {
         return PathBuf::from(dir);
@@ -85,24 +84,22 @@ pub fn results_dir(name: &str) -> PathBuf {
     workspace_root().join("results").join(name)
 }
 
-/// The workspace root: the outermost ancestor of `CARGO_MANIFEST_DIR`
-/// whose `Cargo.toml` declares `[workspace]` (falling back to the current
-/// directory outside cargo). Shared by every results-directory default so
-/// each crate's test binary agrees on one location.
+/// The workspace root: the outermost ancestor of this crate's source
+/// directory (fixed when the crate is compiled) whose `Cargo.toml`
+/// declares `[workspace]`. A binary therefore writes under the source
+/// tree it was built from, whatever its current directory; when that
+/// tree is gone, the current directory stands in. Shared by every
+/// results-directory default so each crate's test binary agrees on one
+/// location.
 pub fn workspace_root() -> PathBuf {
-    let start = std::env::var("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("."));
-    let mut found = start.clone();
-    for dir in start.ancestors() {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                found = dir.to_path_buf();
-            }
-        }
-    }
-    found
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .filter(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .last()
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
 }
 
 fn failures_path(dir: &Path) -> PathBuf {

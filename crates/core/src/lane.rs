@@ -9,9 +9,12 @@
 //! identical activity every cycle until their controllers command
 //! different gating. Lanes are therefore grouped: one [`Cpu::step`] and
 //! one power evaluation per group per cycle, broadcast to every member
-//! lane. In a sweep, the uncontrolled baselines of one workload at every
-//! configuration collapse into a single group for the whole run, and
-//! each controlled lane rides along until its first intervention.
+//! lane. The experiment engine plans a sweep's lanes across the whole
+//! grid and gathers each program's distinct lanes into one `LaneLoop`
+//! (its work unit, keyed by [`snapshot_keys`]). A workload's uncontrolled
+//! baseline, identical at every grid point, is therefore one lane
+//! stepped once for the whole run, and each controlled lane rides on its
+//! CPU until its first intervention.
 //!
 //! Everything downstream of the power model — supply network, sensor,
 //! controller, actuator, ground-truth observers, band counters, sample
@@ -48,7 +51,7 @@
 //!   trace *is* supported — it lives in the lane's own state.
 
 use crate::loopsim::{
-    cycle_draw, power_fingerprint, ControlLoop, LoopReport, LoopSample, LoopTail,
+    cycle_draw, power_fingerprint, section, ControlLoop, LoopReport, LoopSample, LoopTail,
 };
 use voltctl_cpu::{Cpu, GatingState};
 use voltctl_power::PowerModel;
@@ -64,6 +67,39 @@ pub struct LaneOutcome {
     pub report: LoopReport,
     /// Digest of the CPU's architectural state at exit.
     pub arch_digest: u64,
+}
+
+/// Two cheap keys read from a loop snapshot ([`ControlLoop::save`]
+/// bytes) without decoding or re-hashing it: `(share, image)`.
+///
+/// * `share` hashes the program digest and machine-configuration
+///   fingerprint that head the CPU section. Lanes that
+///   [`LaneLoop::gather`] could place in one group always have equal
+///   `share` keys, so a scheduler can put them in one work unit.
+/// * `image` is the container's trailing FNV-1a checksum of the whole
+///   snapshot.
+///
+/// Equal keys prove nothing: exact duplicates need a byte comparison,
+/// and `gather` still groups by exact CPU bytes. `None` when `snapshot`
+/// is not a loop container with a CPU section.
+pub fn snapshot_keys(snapshot: &[u8]) -> Option<(u64, u64)> {
+    let body = snapshot.len().checked_sub(8)?;
+    let image = u64::from_le_bytes(snapshot[body..].try_into().ok()?);
+    // Container framing: magic, version (u32), kind (u16), section
+    // count (u32), then `tag (u16) | version (u16) | len | payload`.
+    let mut r = voltctl_snap::ByteReader::new(snapshot.get(voltctl_snap::MAGIC.len()..body)?);
+    r.get_u32().ok()?;
+    r.get_u16().ok()?;
+    for _ in 0..r.get_u32().ok()? {
+        let tag = r.get_u16().ok()?;
+        r.get_u16().ok()?;
+        let len = r.get_usize().ok()?;
+        let payload = r.get_raw(len, "section payload").ok()?;
+        if tag == section::CPU {
+            return Some((voltctl_snap::fnv1a(payload.get(..16)?), image));
+        }
+    }
+    None
 }
 
 /// One CPU shared by every lane whose control history is still
@@ -561,6 +597,32 @@ mod tests {
             assert_eq!(scattered[l].report(), scalar.report(), "lane {l}");
             assert_eq!(scattered[l].save(), scalar.save(), "lane {l} bytes");
         }
+    }
+
+    #[test]
+    fn snapshot_keys_share_by_program_and_hash_the_image() {
+        let baseline = make_loop(None, 0, 0.0).save();
+        let controlled = make_loop(Some(loose()), 2, 0.0).save();
+        let mut b = ProgramBuilder::new("other");
+        b.label("top");
+        b.subq_imm(IntReg::R2, IntReg::R2, 1);
+        b.br("top");
+        let power = PowerModel::new(PowerParams::paper_3ghz());
+        let pdn = calibrated_pdn(&PdnModel::paper_default().unwrap(), &power, 2.0).unwrap();
+        let other = ControlLoop::builder(b.build().unwrap())
+            .power(power)
+            .pdn(pdn)
+            .build()
+            .unwrap()
+            .save();
+
+        let (share, image) = snapshot_keys(&baseline).expect("loop snapshot");
+        assert_eq!(image, voltctl_snap::fnv1a(&baseline[..baseline.len() - 8]));
+        let (controlled_share, controlled_image) = snapshot_keys(&controlled).unwrap();
+        assert_eq!(controlled_share, share, "same program and machine");
+        assert_ne!(controlled_image, image, "different loops");
+        assert_ne!(snapshot_keys(&other).unwrap().0, share, "other program");
+        assert_eq!(snapshot_keys(b"not a snapshot"), None);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl voltctl_snap::Unpack for LoopSample {
 /// [`ControlLoop::save`]. Every section is at schema version
 /// [`LOOP_SECTION_VERSION`]; unknown tags are skipped on read so future
 /// versions can append sections without breaking old readers.
-mod section {
+pub(crate) mod section {
     /// Nominal voltage, power-model fingerprint, band cycle counters.
     pub const META: u16 = 1;
     /// Full microarchitectural CPU state (self-validating against the

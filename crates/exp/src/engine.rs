@@ -21,6 +21,7 @@
 //! This is verified by `tests/determinism.rs` (byte-identical reports at
 //! `--jobs 1` vs `--jobs 8`).
 
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,7 +193,7 @@ impl CellResult {
 
 /// One lane of a lane-described cell: a fully built closed loop plus the
 /// cycle budget it runs for (warm-up included). The lane executor steps
-/// it in lockstep with the chunk's other lanes; the default
+/// it in lockstep with the other distinct lanes of its program; the default
 /// [`Scenario::run_cell`] steps it on its own with `sim.step_n(budget)`.
 #[derive(Debug)]
 pub struct BatchLane {
@@ -290,9 +291,10 @@ pub trait Scenario: Sync {
     /// Whether the scenario is described by lanes
     /// ([`batch_cell`](Scenario::batch_cell) +
     /// [`finish_batch_cell`](Scenario::finish_batch_cell)). With
-    /// telemetry and tracing off, the engine then steps each chunk of
-    /// cells' lanes in lockstep in a shared [`LaneLoop`], amortizing CPU
-    /// and power work across lanes that share identical state; otherwise
+    /// telemetry and tracing off, the engine then plans the grid's lanes,
+    /// steps each distinct lane once, and steps a program's lanes in
+    /// lockstep in a shared [`LaneLoop`], amortizing CPU and power work
+    /// across lanes that share identical state; otherwise
     /// the default [`run_cell`](Scenario::run_cell) steps the same lanes
     /// one at a time. Lane outcomes are bitwise identical either way, so
     /// the choice never shows in a report.
@@ -354,11 +356,11 @@ pub fn run_scenario(scenario: &dyn Scenario, ctx: &Ctx, jobs: usize) -> RunOutpu
     run_unsharded(scenario, ctx, jobs, None)
 }
 
-/// [`run_scenario`] with self-profiling: each grid cell (or lane
-/// chunk), the merge, and the render record wall-clock spans into
+/// [`run_scenario`] with self-profiling: each grid cell (or lane phase
+/// and unit), the merge, and the render record wall-clock spans into
 /// `profiler` under folded stacks (`exp;<id>;grid;job<j>;<cell>`,
-/// `exp;<id>;lanes;{gather,step,scatter};chunk<c>`, `exp;<id>;merge`,
-/// `exp;<id>;render`).
+/// `exp;<id>;lanes;{gather,scatter};grid`,
+/// `exp;<id>;lanes;step;chunk<u>`, `exp;<id>;merge`, `exp;<id>;render`).
 pub fn run_scenario_profiled(
     scenario: &dyn Scenario,
     ctx: &Ctx,
@@ -386,7 +388,8 @@ fn run_unsharded(
 
 /// Runs a contiguous sub-range of a scenario's grid on up to `jobs`
 /// worker threads and returns the cell results **in grid order**, one
-/// `exp;<id>;grid;job<j>;<cell>` span per cell.
+/// `exp;<id>;grid;job<j>;<cell>` span per cell (lane-batched scenarios
+/// record [`run_cells_batched`]'s spans instead).
 ///
 /// This is the resumable primitive under the scenario driver: it runs
 /// once per shard, and the concatenated shards go to
@@ -420,7 +423,7 @@ pub(crate) fn run_cells_profiled(
     // bitwise identical either way, so the choice is invisible in every
     // report.
     if scenario.batchable() && !ctx.telemetry && ctx.trace.is_none() {
-        return run_cells_batched(scenario, ctx, jobs, range, &labels, profiler);
+        return run_cells_batched(scenario, ctx, jobs, range, profiler);
     }
 
     let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -440,124 +443,257 @@ pub(crate) fn run_cells_profiled(
     collect_slots(slots, base, &labels)
 }
 
-/// The lane-batched back end of [`run_cells_profiled`]: cells are handed
-/// out to workers in contiguous chunks; each chunk's lanes (from
-/// [`Scenario::batch_cell`]) are gathered into one [`LaneLoop`] and
-/// stepped in lockstep, then scattered back through
-/// [`Scenario::finish_batch_cell`]. Zero-lane cells (nothing to
-/// simulate) are finished in the same scatter.
+/// The lane-batched back end of [`run_cells_profiled`], in three phases:
 ///
-/// Chunking multiple cells into one `LaneLoop` is where the speedup
-/// comes from, twice over:
+/// 1. **Plan** ([`plan_lanes`], span `exp;<id>;lanes;gather;grid`):
+///    workers build every cell's lanes and remove duplicates across the
+///    whole range — sweep grids re-run the same uncontrolled baseline in
+///    every cell, and determinism makes one run's outcome exact for all
+///    of them.
+/// 2. **Step** (span `exp;<id>;lanes;step;chunk<u>` per unit): each work
+///    unit — the distinct lanes of one program and machine — is gathered
+///    into one [`LaneLoop`] and run to completion. Inside it the
+///    baseline is stepped once, and every controlled lane shares its CPU
+///    until its first intervention.
+/// 3. **Scatter** (span `exp;<id>;lanes;scatter;grid`): each cell's
+///    outcomes, looked up through the plan's `origin`, go to
+///    [`Scenario::finish_batch_cell`] in grid order. Zero-lane cells
+///    (nothing to simulate) are finished here too.
 ///
-/// * lanes that are **entirely identical** — same snapshot bytes, same
-///   budget — are simulated once and their outcome copied (sweep grids
-///   re-run the same uncontrolled baseline in every cell; determinism
-///   makes the copy exact, and the lane/scalar oracle tests prove it);
-/// * the surviving lanes with byte-identical CPU state (a cell's
-///   baseline/controlled pair before the first intervention) share one
-///   CPU step per cycle inside the `LaneLoop`.
-///
-/// Chunk boundaries affect only scheduling, never results — every
-/// lane's arithmetic is independent of its neighbours.
+/// Units only decide scheduling, never results: every lane's arithmetic
+/// is independent of its neighbours, and [`LaneLoop::gather`] shares a
+/// CPU only between lanes whose CPU bytes are identical.
 fn run_cells_batched(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
     range: std::ops::Range<usize>,
-    labels: &[String],
     profiler: Option<&SelfProfiler>,
 ) -> Vec<CellResult> {
     let id = scenario.id();
-    let n = range.len();
     let base = range.start;
-    // Wider chunks dedupe and share across more cells, but every live
-    // CPU in a chunk is stepped each cycle, so too many lanes turns the
-    // lockstep walk cache-hostile. Eight cells per chunk balances the
-    // two (and keeps multi-worker runs schedulable).
-    let chunk = if jobs <= 1 {
-        n.clamp(1, 8)
-    } else {
-        n.div_ceil(jobs * 2).clamp(1, 8)
-    };
-    let n_chunks = n.div_ceil(chunk);
-
-    let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let record_phase = |sw: Stopwatch, phase: &str, c: usize| {
+    let record_phase = |sw: Stopwatch, phase: &str, unit: &str| {
         if let Some(p) = profiler {
-            let chunk_label = format!("chunk{c}");
-            p.record(&["exp", id, "lanes", phase, &chunk_label], sw.elapsed_ns());
+            p.record(&["exp", id, "lanes", phase, unit], sw.elapsed_ns());
         }
     };
 
-    run_pool(jobs, n_chunks, |c, _| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
+    let sw = Stopwatch::started_if(profiler.is_some());
+    let plan = plan_lanes(scenario, ctx, jobs, range);
+    record_phase(sw, "gather", "grid");
 
-        // Gather: build every cell's lanes, dedupe exact replicas, and
-        // gather the survivors into one lane loop. `origin[i]` maps
-        // logical lane `i` to its simulated representative.
+    let units: Vec<Mutex<Vec<BatchLane>>> = plan.units.into_iter().map(Mutex::new).collect();
+    let done: Vec<Mutex<Vec<LaneOutcome>>> = units.iter().map(|_| Mutex::default()).collect();
+    run_pool(jobs, units.len(), |u, _| {
         let sw = Stopwatch::started_if(profiler.is_some());
-        let mut sims = Vec::new();
-        let mut budgets = Vec::new();
-        let mut origin = Vec::new();
-        let mut seen: Vec<(u64, Vec<u8>, usize)> = Vec::new(); // (budget-key, bytes, lane)
-        let mut cell_spans = Vec::new(); // (slot, first lane, lane count)
-        for k in lo..hi {
-            let start = origin.len();
-            for lane in scenario.batch_cell(ctx, base + k) {
-                let bytes = lane.sim.save();
-                match seen
-                    .iter()
-                    .find(|(b, s, _)| *b == lane.budget && *s == bytes)
-                {
-                    Some(&(_, _, dup)) => origin.push(dup),
-                    None => {
-                        seen.push((lane.budget, bytes, sims.len()));
-                        origin.push(sims.len());
-                        sims.push(lane.sim);
-                        budgets.push(lane.budget);
-                    }
-                }
-            }
-            cell_spans.push((k, start, origin.len() - start));
-        }
-        let mut lanes = LaneLoop::gather(sims, &budgets);
-        record_phase(sw, "gather", c);
-
-        // Step: run every lane in the chunk to completion.
-        let sw = Stopwatch::started_if(profiler.is_some());
-        lanes.run();
-        record_phase(sw, "step", c);
-
-        // Scatter: reshape each cell's lane outcomes (none for a
-        // zero-lane cell) into its result.
-        let sw = Stopwatch::started_if(profiler.is_some());
-        for &(k, start, count) in &cell_spans {
-            let outcomes: Vec<LaneOutcome> = origin[start..start + count]
-                .iter()
-                .map(|&l| {
-                    lanes
-                        .outcome(l)
-                        .expect("every lane has exited after run()")
-                        .clone()
-                })
-                .collect();
-            let result = scenario.finish_batch_cell(ctx, base + k, outcomes);
-            *slots[k].lock().expect("cell slot poisoned") = Some(result);
-        }
-        record_phase(sw, "scatter", c);
+        let lanes = std::mem::take(&mut *units[u].lock().expect("unit poisoned"));
+        let (sims, budgets): (Vec<ControlLoop>, Vec<u64>) =
+            lanes.into_iter().map(|l| (l.sim, l.budget)).unzip();
+        let mut unit = LaneLoop::gather(sims, &budgets);
+        unit.run();
+        *done[u].lock().expect("unit poisoned") = (0..unit.width())
+            .map(|l| {
+                unit.outcome(l)
+                    .expect("every lane has exited after run()")
+                    .clone()
+            })
+            .collect();
+        record_phase(sw, "step", &format!("chunk{u}"));
     });
-    collect_slots(slots, base, labels)
+
+    let sw = Stopwatch::started_if(profiler.is_some());
+    let done: Vec<Vec<LaneOutcome>> = done
+        .into_iter()
+        .map(|d| d.into_inner().expect("unit poisoned"))
+        .collect();
+    let results = plan
+        .origin
+        .iter()
+        .enumerate()
+        .map(|(k, origin)| {
+            let outcomes = origin.iter().map(|&(u, l)| done[u][l].clone()).collect();
+            scenario.finish_batch_cell(ctx, base + k, outcomes)
+        })
+        .collect();
+    record_phase(sw, "scatter", "grid");
+    results
+}
+
+/// The lanes of a grid range, deduplicated across the whole range and
+/// grouped into work units.
+#[derive(Debug)]
+pub(crate) struct LanePlan<L> {
+    /// Work units: the distinct lanes that share a CPU key, in the grid
+    /// order of their first use; the largest unit first.
+    pub(crate) units: Vec<Vec<L>>,
+    /// `origin[k][i] = (u, l)`: lane `i` of the range's `k`-th cell is
+    /// (a duplicate of) lane `l` of unit `u`.
+    pub(crate) origin: Vec<Vec<(usize, usize)>>,
+}
+
+/// Builds the [`LanePlan`] of `range` on up to `jobs` workers. Each
+/// worker calls [`Scenario::batch_cell`] for the cells it claims and
+/// serializes each lane once; the snapshot bytes, the budget and their
+/// keys go to a shared [`LaneDedup`]. Pure: nothing is stepped or
+/// recorded, so tests can call it.
+pub(crate) fn plan_lanes(
+    scenario: &dyn Scenario,
+    ctx: &Ctx,
+    jobs: usize,
+    range: std::ops::Range<usize>,
+) -> LanePlan<BatchLane> {
+    let base = range.start;
+    let dedup = Mutex::new(LaneDedup::new(range.len()));
+    run_pool(jobs, range.len(), |k, _| {
+        for (i, lane) in scenario.batch_cell(ctx, base + k).into_iter().enumerate() {
+            let bytes = lane.sim.save();
+            let (share, image) = voltctl_core::lane::snapshot_keys(&bytes)
+                .expect("a loop snapshot has a CPU section");
+            let key = LaneKey {
+                budget: lane.budget,
+                share,
+                image,
+            };
+            dedup
+                .lock()
+                .expect("lane plan poisoned")
+                .insert((k, i), key, bytes, lane);
+        }
+    });
+    dedup.into_inner().expect("lane plan poisoned").finish()
+}
+
+/// What [`LaneDedup`] knows about a lane besides its snapshot bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneKey {
+    /// The lane's cycle budget: equal bytes under different budgets are
+    /// different runs.
+    pub(crate) budget: u64,
+    /// The CPU-sharing key (program and machine): decides the unit.
+    pub(crate) share: u64,
+    /// A hash of the snapshot bytes: only a prefilter for the byte
+    /// comparison.
+    pub(crate) image: u64,
+}
+
+/// A distinct lane while the plan is being built.
+#[derive(Debug)]
+struct Distinct<L> {
+    lane: L,
+    share: u64,
+    bytes: Vec<u8>,
+    /// The first grid position (cell, lane) that uses it.
+    first: (usize, usize),
+}
+
+/// Deduplicates lanes by budget and exact snapshot bytes as they are
+/// built, in any order. A duplicate's loop and bytes are dropped on
+/// insertion; [`finish`](Self::finish) orders the distinct lanes by
+/// first grid use, so the plan does not depend on which worker built
+/// what first.
+#[derive(Debug)]
+pub(crate) struct LaneDedup<L> {
+    /// `(budget, image)` → the distinct lanes with that prefilter key.
+    index: HashMap<(u64, u64), Vec<usize>>,
+    distinct: Vec<Distinct<L>>,
+    origin: Vec<Vec<usize>>,
+}
+
+impl<L> LaneDedup<L> {
+    /// An empty plan over `cells` cells.
+    pub(crate) fn new(cells: usize) -> LaneDedup<L> {
+        LaneDedup {
+            index: HashMap::new(),
+            distinct: Vec::new(),
+            origin: vec![Vec::new(); cells],
+        }
+    }
+
+    /// Records lane `at.1` of cell `at.0` (cells may arrive in any
+    /// order, a cell's lanes in lane order).
+    pub(crate) fn insert(&mut self, at: (usize, usize), key: LaneKey, bytes: Vec<u8>, lane: L) {
+        let candidates = self.index.entry((key.budget, key.image)).or_default();
+        let d = match candidates
+            .iter()
+            .copied()
+            .find(|&d| self.distinct[d].bytes == bytes)
+        {
+            Some(d) => {
+                let first = &mut self.distinct[d].first;
+                *first = (*first).min(at);
+                d
+            }
+            None => {
+                candidates.push(self.distinct.len());
+                self.distinct.push(Distinct {
+                    lane,
+                    share: key.share,
+                    bytes,
+                    first: at,
+                });
+                self.distinct.len() - 1
+            }
+        };
+        debug_assert_eq!(
+            self.origin[at.0].len(),
+            at.1,
+            "a cell's lanes arrive in order"
+        );
+        self.origin[at.0].push(d);
+    }
+
+    /// Drops the distinct lanes' bytes and groups the lanes into units
+    /// by CPU-sharing key: the largest unit first, ties and the lanes
+    /// inside a unit in the grid order of their first use.
+    pub(crate) fn finish(self) -> LanePlan<L> {
+        // (share key, lanes, first use) per unit, in claim order.
+        let mut keys: Vec<(u64, usize, (usize, usize))> = Vec::new();
+        for d in &self.distinct {
+            match keys.iter_mut().find(|(share, ..)| *share == d.share) {
+                Some((_, size, first)) => {
+                    *size += 1;
+                    *first = (*first).min(d.first);
+                }
+                None => keys.push((d.share, 1, d.first)),
+            }
+        }
+        keys.sort_by_key(|&(_, size, first)| (std::cmp::Reverse(size), first));
+
+        let mut distinct: Vec<(usize, Distinct<L>)> =
+            self.distinct.into_iter().enumerate().collect();
+        distinct.sort_by_key(|(_, lane)| lane.first);
+        let mut units: Vec<Vec<L>> = keys.iter().map(|_| Vec::new()).collect();
+        let mut place = vec![(0, 0); distinct.len()];
+        for (d, lane) in distinct {
+            let u = keys
+                .iter()
+                .position(|&(share, ..)| share == lane.share)
+                .expect("every key has a unit");
+            place[d] = (u, units[u].len());
+            units[u].push(lane.lane);
+        }
+        LanePlan {
+            units,
+            origin: self
+                .origin
+                .into_iter()
+                .map(|cell| cell.into_iter().map(|d| place[d]).collect())
+                .collect(),
+        }
+    }
 }
 
 /// The engine's one worker pool: runs work units `0..units` on up to
-/// `jobs` workers, calling `run(u, j)` for unit `u` on worker `j`.
-/// Workers claim units in index order from a shared counter; a unit
-/// writes its results wherever its index says, so scheduling never
-/// shows in the output. One job runs inline on the caller's thread: no
-/// thread overhead, and backtraces from narrative checks keep the
-/// caller's stack.
+/// `jobs` workers, calling `run(u, j)` for unit `u` on worker `j`. A
+/// unit is a grid cell on the per-cell path; the lane executor uses the
+/// pool twice, once with a cell per unit to plan and once with a lane
+/// unit per unit to step.
+///
+/// Workers claim units in index order from a shared counter (so callers
+/// put their largest units first); a unit writes its results wherever
+/// its index says, so scheduling never shows in the output. One job
+/// runs inline on the caller's thread: no thread overhead, and
+/// backtraces from narrative checks keep the caller's stack.
 fn run_pool(jobs: usize, units: usize, run: impl Fn(usize, usize) + Sync) {
     if jobs <= 1 {
         (0..units).for_each(|u| run(u, 0));
@@ -735,30 +871,37 @@ mod tests {
         assert!(!Counting.trace_aware(), "trace-awareness defaults off");
     }
 
-    #[test]
-    fn profiled_lane_run_records_one_span_per_chunk_phase() {
-        let id = "fig14_sensor_delay_perf";
-        let scenario = crate::scenarios::find(id).expect("registered scenario");
-        let ctx = Ctx {
+    fn smoke() -> Ctx {
+        Ctx {
             smoke: true,
             ..Ctx::default()
-        };
+        }
+    }
+
+    #[test]
+    fn profiled_lane_run_records_one_span_per_phase_and_unit() {
+        let id = "fig14_sensor_delay_perf";
+        let scenario = crate::scenarios::find(id).expect("registered scenario");
         assert!(scenario.batchable(), "{id} runs on the lane executor");
         let p = crate::profile::SelfProfiler::new();
-        run_scenario_profiled(scenario, &ctx, 2, &p);
+        run_scenario_profiled(scenario, &smoke(), 2, &p);
 
-        // 7 cells on 2 jobs: chunks of ceil(7 / 4) = 2 cells, 4 chunks.
-        assert_eq!(scenario.cells(&ctx).len(), 7);
+        // One plan, one step span per unit (one unit per program: the
+        // SPEC-8 subset plus the stressmark), one scatter.
         let stacks = p.stacks();
-        for phase in ["gather", "step", "scatter"] {
-            let prefix = format!("exp;{id};lanes;{phase};");
-            let chunks: Vec<(String, u64)> = stacks
-                .iter()
-                .filter_map(|(s, st)| Some((s.strip_prefix(&prefix)?.to_string(), st.count)))
-                .collect();
-            let expected: Vec<(String, u64)> = (0..4).map(|c| (format!("chunk{c}"), 1)).collect();
-            assert_eq!(chunks, expected, "{phase} spans: {stacks:?}");
-        }
+        let prefix = format!("exp;{id};lanes;");
+        let mut spans: Vec<(String, u64)> = stacks
+            .iter()
+            .filter_map(|(s, st)| Some((s.strip_prefix(&prefix)?.to_string(), st.count)))
+            .collect();
+        spans.sort();
+        let mut expected: Vec<(String, u64)> = (0..9)
+            .map(|u| format!("step;chunk{u}"))
+            .chain(["gather;grid".to_string(), "scatter;grid".to_string()])
+            .map(|s| (s, 1))
+            .collect();
+        expected.sort();
+        assert_eq!(spans, expected, "lane spans: {stacks:?}");
         assert!(
             !stacks
                 .iter()
@@ -775,15 +918,87 @@ mod tests {
         assert_eq!(count(&format!("exp;{id};render")), Some(1));
     }
 
+    /// The smoke plans of Figures 14 and 17: every cell pairs the nine
+    /// programs' baselines (identical in every cell) with nine
+    /// controlled loops (distinct per cell). Figure 17's three FU-only
+    /// cells at delay >= 3 are unstable and have no lanes.
+    #[test]
+    fn plan_steps_each_distinct_lane_once_in_one_unit_per_program() {
+        for (id, built, simulated) in [
+            ("fig14_sensor_delay_perf", 126, 72),
+            ("fig17_actuator_perf", 270, 144),
+        ] {
+            let scenario = crate::scenarios::find(id).expect("registered scenario");
+            let cells = scenario.cells(&smoke()).len();
+            let plan = plan_lanes(scenario, &smoke(), 2, 0..cells);
+            let lanes: usize = plan.units.iter().map(Vec::len).sum();
+            assert_eq!(
+                plan.origin.iter().map(Vec::len).sum::<usize>(),
+                built,
+                "{id}"
+            );
+            assert_eq!(lanes, simulated, "{id}");
+            assert_eq!(plan.units.len(), 9, "{id}: one unit per program");
+            for unit in &plan.units {
+                let baselines = unit.iter().filter(|l| !l.sim.is_controlled()).count();
+                assert_eq!(baselines, 1, "{id}: a unit holds its program's baseline");
+                assert!(unit.len() <= 1 + cells, "{id}: 1 + (cells) lanes at most");
+            }
+            // Lanes come as (baseline, controlled) per program: each
+            // program's baseline is one lane for the whole grid, and the
+            // programs' baselines sit in different units.
+            let mut baselines: Vec<(usize, usize)> = (0..9)
+                .map(|program| {
+                    let mut uses = plan.origin.iter().filter(|lanes| !lanes.is_empty());
+                    let first = uses.next().expect("a cell with lanes")[2 * program];
+                    assert!(uses.all(|lanes| lanes[2 * program] == first), "{id}");
+                    first
+                })
+                .collect();
+            baselines.sort();
+            baselines.dedup_by_key(|&mut (u, _)| u);
+            assert_eq!(baselines.len(), 9, "{id}: one baseline per unit");
+
+            let serial = plan_lanes(scenario, &smoke(), 1, 0..cells);
+            assert_eq!(serial.origin, plan.origin, "{id}: plan is jobs-invariant");
+        }
+    }
+
+    #[test]
+    fn dedup_merges_equal_bytes_only() {
+        let key = LaneKey {
+            budget: 10,
+            share: 1,
+            image: 7,
+        };
+        let mut dedup = LaneDedup::new(3);
+        // Cells arrive out of grid order, as they do from workers.
+        dedup.insert((1, 0), key, vec![1, 2, 3], "c");
+        dedup.insert((0, 0), key, vec![1, 2, 3], "a");
+        dedup.insert((0, 1), key, vec![1, 2, 4], "b");
+        dedup.insert((2, 0), LaneKey { budget: 11, ..key }, vec![1, 2, 3], "d");
+        dedup.insert((2, 1), LaneKey { share: 2, ..key }, vec![9], "e");
+        let plan = dedup.finish();
+        // "a" duplicates "c" (equal budget and bytes): one survives, in
+        // the place of its first grid use. "b" matches on hash only; "d"
+        // has equal bytes under another budget.
+        assert_eq!(
+            plan.units,
+            [vec!["c", "b", "d"], vec!["e"]],
+            "largest unit first"
+        );
+        assert_eq!(
+            plan.origin,
+            [vec![(0, 0), (0, 1)], vec![(0, 0)], vec![(0, 2), (1, 0)]]
+        );
+    }
+
     #[test]
     fn smoke_overrides_budgets() {
         let full = Ctx::new(1.0);
         assert_eq!(full.budget(100_000), 100_000);
         assert_eq!(full.warmup(40_000), 40_000);
-        let smoke = Ctx {
-            smoke: true,
-            ..Ctx::default()
-        };
+        let smoke = smoke();
         assert_eq!(smoke.budget(100_000), SMOKE_CYCLES);
         assert_eq!(smoke.warmup(40_000), SMOKE_WARMUP);
         smoke.check(false, "shape claims are off in smoke mode");

@@ -405,7 +405,7 @@ fn cmd_run(args: &[String]) {
     }
 
     if let Some(p) = profiler {
-        write_profile(p, &run);
+        write_profile(p, &run, &scenarios);
     }
 
     if scenarios.len() > 1 {
@@ -427,9 +427,9 @@ fn cmd_run(args: &[String]) {
 }
 
 /// Emits the self-profiler's two deliverables: the per-stage summary
-/// table on stderr and the folded-stacks file (plus its manifest) under
-/// `--profile-out`.
-fn write_profile(p: &SelfProfiler, run: &RunArgs) {
+/// table on stderr and the folded-stacks file (plus its manifest, which
+/// names every scenario that ran) under `--profile-out`.
+fn write_profile(p: &SelfProfiler, run: &RunArgs, scenarios: &[&'static dyn Scenario]) {
     eprint!(
         "\n[voltctl-exp] self-profile (stages nest; totals overlap):\n{}",
         p.summary()
@@ -451,8 +451,8 @@ fn write_profile(p: &SelfProfiler, run: &RunArgs) {
             );
             let mut manifest = Manifest::new("run --profile");
             manifest.ctx(&run.ctx, run.jobs);
-            for id in &run.ids {
-                manifest.scenario(id);
+            for scenario in scenarios {
+                manifest.scenario(scenario.id());
             }
             manifest.artifact(&path);
             match manifest.write(&run.profile_out) {

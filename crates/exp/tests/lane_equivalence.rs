@@ -1,7 +1,8 @@
 //! The lane executor's identity contract: a batchable scenario's report
 //! is byte-identical whether each cell's lanes are stepped one at a time
-//! (the default `run_cell`) or gathered into SoA lane groups — at any
-//! worker count, so chunk boundaries are covered too.
+//! (the default `run_cell`) or planned across the grid and stepped in
+//! shared-CPU work units — at any worker count, so the order in which
+//! workers build and step lanes is covered too.
 //!
 //! `ForceScalar` pins a scenario to the per-loop path by masking
 //! `batchable`; the unwrapped scenario takes the lane path whenever
@@ -43,7 +44,7 @@ fn assert_lane_path_matches_scalar(id: &str) {
     let scenario = find(id).expect("registered scenario");
     assert!(scenario.batchable(), "{id} must opt into the lane executor");
     let scalar = run_scenario(&ForceScalar(scenario), &ctx, 1);
-    for jobs in [1, 8] {
+    for jobs in [1, 2, 3, 8] {
         let lanes = run_scenario(scenario, &ctx, jobs);
         assert_eq!(
             lanes.report, scalar.report,
@@ -72,14 +73,25 @@ fn fig14_lane_report_matches_scalar() {
 }
 
 #[test]
+fn fig15_lane_report_matches_scalar() {
+    assert_lane_path_matches_scalar("fig15_sensor_delay_energy");
+}
+
+#[test]
 fn fig16_lane_report_matches_scalar() {
     assert_lane_path_matches_scalar("fig16_sensor_error");
 }
 
 /// Figure 17's grid mixes simulated cells with zero-lane unstable ones
-/// (FU-only at delay >= 3). At `--jobs 8` the chunks are two cells wide,
-/// so FU delays 4 and 5 form a chunk with no lanes at all.
+/// (FU-only at delay >= 3): the plan carries their empty lane lists
+/// through to the scatter.
 #[test]
 fn fig17_mixed_grid_lane_report_matches_scalar() {
     assert_lane_path_matches_scalar("fig17_actuator_perf");
+}
+
+/// Figure 18 walks Figure 17's grid, zero-lane cells included.
+#[test]
+fn fig18_mixed_grid_lane_report_matches_scalar() {
+    assert_lane_path_matches_scalar("fig18_actuator_energy");
 }
