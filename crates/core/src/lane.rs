@@ -9,12 +9,18 @@
 //! identical activity every cycle until their controllers command
 //! different gating. Lanes are therefore grouped: one [`Cpu::step`] and
 //! one power evaluation per group per cycle, broadcast to every member
-//! lane. The experiment engine plans a sweep's lanes across the whole
-//! grid and gathers each program's distinct lanes into one `LaneLoop`
-//! (its work unit, keyed by [`snapshot_keys`]). A workload's uncontrolled
-//! baseline, identical at every grid point, is therefore one lane
-//! stepped once for the whole run, and each controlled lane rides on its
-//! CPU until its first intervention.
+//! lane.
+//!
+//! Inside a group, a lane whose budget and tail bytes (every
+//! [`ControlLoop::save`] section but the CPU's, packed by the same
+//! calls) equal an earlier member's is an **alias**: determinism makes
+//! its run that member's run, so it is never stepped and every accessor
+//! reads the member's state. [`LaneLoop::gather`] is the one place lane
+//! identity is decided, always on snapshot bytes. The experiment engine
+//! gathers all of a sweep's lanes for one program and machine into one
+//! `LaneLoop`, so a workload's uncontrolled baseline, identical at every
+//! grid point, is stepped once for the whole run, and each controlled
+//! lane rides on its CPU until its first intervention.
 //!
 //! Everything downstream of the power model — supply network, sensor,
 //! controller, actuator, ground-truth observers, band counters, sample
@@ -24,8 +30,8 @@
 //! per-cycle algorithm, so per lane every f64 operation (including the
 //! conditional sensor-noise RNG draw) happens in scalar order by
 //! construction. The differential oracle in `tests/oracle_lanes.rs`
-//! guards what the lane path adds on top: grouping, divergence, exits,
-//! and scatter.
+//! guards what the lane path adds on top: grouping, aliases,
+//! divergence, exits, and scatter.
 //!
 //! # Divergence-exit rules
 //!
@@ -51,7 +57,7 @@
 //!   trace *is* supported — it lives in the lane's own state.
 
 use crate::loopsim::{
-    cycle_draw, power_fingerprint, section, ControlLoop, LoopReport, LoopSample, LoopTail,
+    cycle_draw, power_fingerprint, ControlLoop, LoopReport, LoopSample, LoopTail,
 };
 use voltctl_cpu::{Cpu, GatingState};
 use voltctl_power::PowerModel;
@@ -67,39 +73,6 @@ pub struct LaneOutcome {
     pub report: LoopReport,
     /// Digest of the CPU's architectural state at exit.
     pub arch_digest: u64,
-}
-
-/// Two cheap keys read from a loop snapshot ([`ControlLoop::save`]
-/// bytes) without decoding or re-hashing it: `(share, image)`.
-///
-/// * `share` hashes the program digest and machine-configuration
-///   fingerprint that head the CPU section. Lanes that
-///   [`LaneLoop::gather`] could place in one group always have equal
-///   `share` keys, so a scheduler can put them in one work unit.
-/// * `image` is the container's trailing FNV-1a checksum of the whole
-///   snapshot.
-///
-/// Equal keys prove nothing: exact duplicates need a byte comparison,
-/// and `gather` still groups by exact CPU bytes. `None` when `snapshot`
-/// is not a loop container with a CPU section.
-pub fn snapshot_keys(snapshot: &[u8]) -> Option<(u64, u64)> {
-    let body = snapshot.len().checked_sub(8)?;
-    let image = u64::from_le_bytes(snapshot[body..].try_into().ok()?);
-    // Container framing: magic, version (u32), kind (u16), section
-    // count (u32), then `tag (u16) | version (u16) | len | payload`.
-    let mut r = voltctl_snap::ByteReader::new(snapshot.get(voltctl_snap::MAGIC.len()..body)?);
-    r.get_u32().ok()?;
-    r.get_u16().ok()?;
-    for _ in 0..r.get_u32().ok()? {
-        let tag = r.get_u16().ok()?;
-        r.get_u16().ok()?;
-        let len = r.get_usize().ok()?;
-        let payload = r.get_raw(len, "section payload").ok()?;
-        if tag == section::CPU {
-            return Some((voltctl_snap::fnv1a(payload.get(..16)?), image));
-        }
-    }
-    None
 }
 
 /// One CPU shared by every lane whose control history is still
@@ -120,13 +93,17 @@ struct LaneGroup {
 /// [`into_loops`](LaneLoop::into_loops) / [`save_lane`](LaneLoop::save_lane).
 #[derive(Debug)]
 pub struct LaneLoop {
-    /// Each lane's supply/sensor/controller/observer state.
+    /// Each lane's supply/sensor/controller/observer state (an alias's
+    /// own entry is never read).
     tails: Vec<LoopTail>,
     groups: Vec<LaneGroup>,
     lane_group: Vec<usize>,
     budget: Vec<u64>,
     parked: Vec<Option<Cpu>>,
     outcome: Vec<Option<LaneOutcome>>,
+    /// The lane whose state each lane reads: itself, or for an alias
+    /// the earlier byte-identical lane that is stepped in its place.
+    source: Vec<usize>,
     /// Per-cycle scratch: each lane's commanded gating mask.
     next_mask: Vec<u8>,
 }
@@ -158,8 +135,13 @@ impl LaneLoop {
     /// cycles, or earlier when its program finishes — exactly
     /// [`ControlLoop::step_n`] semantics).
     ///
-    /// Lanes whose CPUs are byte-identical and whose power models are
-    /// parameter-identical are placed in one shared-CPU group.
+    /// This is where lane identity is decided, on snapshot bytes. Lanes
+    /// whose CPUs are byte-identical and whose power models are
+    /// parameter-identical are placed in one shared-CPU group. Inside a
+    /// group, a lane whose budget and tail bytes (every
+    /// [`ControlLoop::save`] section but the CPU's) equal an earlier
+    /// member's is an *alias* of that member: it is never stepped, and
+    /// every accessor reads it as its own scalar loop.
     ///
     /// # Panics
     ///
@@ -174,17 +156,21 @@ impl LaneLoop {
             budget: budgets.to_vec(),
             parked: vec![None; n],
             outcome: vec![None; n],
+            source: Vec::with_capacity(n),
             next_mask: vec![MASK_KEEP; n],
         };
 
         // Group keys: (power fingerprint, fnv of CPU bytes, CPU bytes).
         // The byte image embeds the program digest and configuration
         // fingerprint, so byte equality really does imply identical
-        // future behavior under identical gating commands.
+        // future behavior under identical gating commands. Stepped
+        // lanes: (group, lane, tail bytes).
         let mut keys: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+        let mut stepped: Vec<(usize, usize, Vec<u8>)> = Vec::new();
         for (lane, sim) in loops.into_iter().enumerate() {
             let (cpu, power, tail) = sim.into_tail();
             let power_fp = power_fingerprint(&power);
+            let tail_bytes = tail.state_bytes(&power);
             let mut w = voltctl_snap::ByteWriter::new();
             cpu.pack_state(&mut w);
             let cpu_bytes = w.into_bytes();
@@ -204,7 +190,17 @@ impl LaneLoop {
                     keys.push((power_fp, cpu_fp, cpu_bytes));
                     lanes.groups.len() - 1
                 });
-            lanes.groups[group].lanes.push(lane);
+            let source = stepped
+                .iter()
+                .find(|(g, m, bytes)| {
+                    *g == group && budgets[*m] == budgets[lane] && *bytes == tail_bytes
+                })
+                .map_or(lane, |&(_, m, _)| m);
+            if source == lane {
+                stepped.push((group, lane, tail_bytes));
+                lanes.groups[group].lanes.push(lane);
+            }
+            lanes.source.push(source);
             lanes.lane_group.push(group);
             lanes.tails.push(tail);
         }
@@ -221,51 +217,81 @@ impl LaneLoop {
         self.groups.iter().filter(|g| !g.lanes.is_empty()).count()
     }
 
-    /// Number of lanes that have not yet exited.
+    /// Number of lanes still being stepped: not yet exited, and not an
+    /// alias of another lane.
     pub fn active_lane_count(&self) -> usize {
         self.groups.iter().map(|g| g.lanes.len()).sum()
     }
 
     /// The lane's materialized outcome, once it has exited.
     pub fn outcome(&self, lane: usize) -> Option<&LaneOutcome> {
-        self.outcome[lane].as_ref()
+        self.outcome[self.source[lane]].as_ref()
     }
 
     /// The lane's run report at its current state (live lanes included).
     pub fn report(&self, lane: usize) -> LoopReport {
-        self.tails[lane].report(self.lane_cpu(lane))
+        let (tail, cpu, _) = self.lane_state(lane);
+        tail.report(cpu)
     }
 
     /// Digest of the lane CPU's architectural state.
     pub fn arch_digest(&self, lane: usize) -> u64 {
-        self.lane_cpu(lane).arch_digest()
+        self.lane_state(lane).1.arch_digest()
     }
 
     /// Takes the lane's recorded per-cycle trace (empty unless the
     /// gathered loop had `record_trace` enabled).
     pub fn take_trace(&mut self, lane: usize) -> Vec<LoopSample> {
+        // Taking changes the lane's state, so no other lane may share it.
+        let source = self.source[lane];
+        for alias in 0..self.width() {
+            if alias != source && self.source[alias] == source {
+                self.detach(alias);
+            }
+        }
         self.tails[lane].take_trace()
     }
 
-    fn lane_cpu(&self, lane: usize) -> &Cpu {
-        match &self.parked[lane] {
-            Some(cpu) => cpu,
-            None => &self.groups[self.lane_group[lane]].cpu,
+    /// The tail, CPU and power model the lane reads: its source's.
+    fn lane_state(&self, lane: usize) -> (&LoopTail, &Cpu, &PowerModel) {
+        let lane = self.source[lane];
+        let group = &self.groups[self.lane_group[lane]];
+        let cpu = self.parked[lane].as_ref().unwrap_or(&group.cpu);
+        (&self.tails[lane], cpu, &group.power)
+    }
+
+    /// Gives an alias its own copy of its source's state. From then on
+    /// it is stepped with its source's group (or stays parked with it).
+    fn detach(&mut self, alias: usize) {
+        let source = self.source[alias];
+        self.tails[alias] = self.tails[source].clone();
+        self.parked[alias] = self.parked[source].clone();
+        self.outcome[alias] = self.outcome[source].clone();
+        self.budget[alias] = self.budget[source];
+        self.lane_group[alias] = self.lane_group[source];
+        if self.parked[source].is_none() {
+            self.groups[self.lane_group[source]].lanes.push(alias);
         }
+        self.source[alias] = alias;
     }
 
     /// Serializes one lane as a scalar loop snapshot — byte-identical to
     /// the [`ControlLoop::save`] of a loop stepped scalar to the same
     /// point, so `--shards`/`--resume` round-trip through the lane path.
     pub fn save_lane(&self, lane: usize) -> Vec<u8> {
-        let power = self.groups[self.lane_group[lane]].power.clone();
-        ControlLoop::from_tail(self.lane_cpu(lane).clone(), power, self.tails[lane].clone()).save()
+        let (tail, cpu, power) = self.lane_state(lane);
+        ControlLoop::from_tail(cpu.clone(), power.clone(), tail.clone()).save()
     }
 
     /// Scatters every lane back into a scalar [`ControlLoop`], in lane
     /// order. Each scattered loop continues bit-for-bit from where the
     /// lane left off.
-    pub fn into_loops(self) -> Vec<ControlLoop> {
+    pub fn into_loops(mut self) -> Vec<ControlLoop> {
+        for lane in 0..self.width() {
+            if self.source[lane] != lane {
+                self.detach(lane);
+            }
+        }
         let LaneLoop {
             tails,
             groups,
@@ -285,7 +311,8 @@ impl LaneLoop {
     }
 
     /// Runs every lane to its exit (budget spent or program finished);
-    /// returns the total number of lane-cycles stepped.
+    /// returns the total number of lane-cycles stepped (aliases add
+    /// none).
     pub fn run(&mut self) -> u64 {
         let mut total = 0u64;
         loop {
@@ -336,8 +363,8 @@ impl LaneLoop {
         }
     }
 
-    /// Advances every live lane one cycle in lockstep; returns how many
-    /// lanes stepped (0 = all lanes have exited).
+    /// Advances every live lane but the aliases one cycle in lockstep;
+    /// returns how many lanes stepped (0 = all lanes have exited).
     ///
     /// Per group: read the pre-step gating, one CPU step and power
     /// evaluation, then each member lane runs the scalar loop's supply,
@@ -600,29 +627,66 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_keys_share_by_program_and_hash_the_image() {
-        let baseline = make_loop(None, 0, 0.0).save();
-        let controlled = make_loop(Some(loose()), 2, 0.0).save();
-        let mut b = ProgramBuilder::new("other");
-        b.label("top");
-        b.subq_imm(IntReg::R2, IntReg::R2, 1);
-        b.br("top");
-        let power = PowerModel::new(PowerParams::paper_3ghz());
-        let pdn = calibrated_pdn(&PdnModel::paper_default().unwrap(), &power, 2.0).unwrap();
-        let other = ControlLoop::builder(b.build().unwrap())
-            .power(power)
-            .pdn(pdn)
-            .build()
-            .unwrap()
-            .save();
+    fn byte_identical_lanes_are_stepped_once_and_read_as_their_own() {
+        let budget = 2_000u64;
+        let configs = [(Some(tight()), 1), (None, 0), (Some(tight()), 1), (None, 0)];
+        let build = || configs.iter().map(|&(t, d)| make_loop(t, d, 0.0));
+        let mut lanes = LaneLoop::gather(build().collect(), &[budget; 4]);
+        assert_eq!(lanes.active_lane_count(), 2, "lanes 2 and 3 are aliases");
+        assert_eq!(lanes.run(), 2 * budget, "aliases are never stepped");
+        let saved: Vec<Vec<u8>> = (0..4).map(|l| lanes.save_lane(l)).collect();
+        for (l, mut scalar) in build().enumerate() {
+            scalar.step_n(budget);
+            let out = lanes.outcome(l).expect("lane exited");
+            assert_eq!(out.report, scalar.report(), "lane {l} report");
+            assert_eq!(out.arch_digest, scalar.arch_digest(), "lane {l} digest");
+            assert!(saved[l] == scalar.save(), "lane {l} bytes");
+            // Taking a trace leaves the lanes that shared it intact.
+            assert_eq!(lanes.take_trace(l).len(), budget as usize, "lane {l}");
+            scalar.take_trace();
+            assert!(lanes.save_lane(l) == scalar.save(), "lane {l} bytes");
+        }
+        for l in [1, 3] {
+            assert!(lanes.take_trace(l).is_empty(), "lane {l} was taken once");
+        }
+    }
 
-        let (share, image) = snapshot_keys(&baseline).expect("loop snapshot");
-        assert_eq!(image, voltctl_snap::fnv1a(&baseline[..baseline.len() - 8]));
-        let (controlled_share, controlled_image) = snapshot_keys(&controlled).unwrap();
-        assert_eq!(controlled_share, share, "same program and machine");
-        assert_ne!(controlled_image, image, "different loops");
-        assert_ne!(snapshot_keys(&other).unwrap().0, share, "other program");
-        assert_eq!(snapshot_keys(b"not a snapshot"), None);
+    #[test]
+    fn lanes_that_differ_in_budget_power_or_one_tail_byte_are_not_aliases() {
+        let power = |gating_floor| {
+            let mut params = PowerParams::paper_3ghz();
+            params.gating_floor = gating_floor;
+            PowerModel::new(params)
+        };
+        let pdn = calibrated_pdn(&PdnModel::paper_default().unwrap(), &power(0.10), 2.0).unwrap();
+        let build = |gating_floor, seed| {
+            ControlLoop::builder(spin_program())
+                .power(power(gating_floor))
+                .pdn(pdn.clone())
+                .thresholds(loose())
+                .sensor(SensorConfig {
+                    delay_cycles: 1,
+                    noise_mv: 0.0,
+                    seed,
+                })
+                .build()
+                .unwrap()
+        };
+        // Equal state under another budget; equal state under another
+        // power model; and a sensor seed that differs (noise is 0 mV, so
+        // the seed is never drawn and only its bytes differ).
+        for (other, budgets) in [
+            (build(0.10, 1), [500, 501]),
+            (build(0.11, 1), [500, 500]),
+            (build(0.10, 2), [500, 500]),
+        ] {
+            let mut lanes = LaneLoop::gather(vec![build(0.10, 1), other], &budgets);
+            assert_eq!(lanes.active_lane_count(), 2, "{budgets:?}");
+            lanes.run();
+            assert_ne!(lanes.save_lane(0), lanes.save_lane(1));
+        }
+        let equal = LaneLoop::gather(vec![build(0.10, 1), build(0.10, 1)], &[500, 500]);
+        assert_eq!(equal.active_lane_count(), 1);
     }
 
     #[test]

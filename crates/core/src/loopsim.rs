@@ -118,7 +118,7 @@ impl voltctl_snap::Unpack for LoopSample {
 /// [`ControlLoop::save`]. Every section is at schema version
 /// [`LOOP_SECTION_VERSION`]; unknown tags are skipped on read so future
 /// versions can append sections without breaking old readers.
-pub(crate) mod section {
+mod section {
     /// Nominal voltage, power-model fingerprint, band cycle counters.
     pub const META: u16 = 1;
     /// Full microarchitectural CPU state (self-validating against the
@@ -475,6 +475,72 @@ impl LoopTail {
     pub(crate) fn take_trace(&mut self) -> Vec<LoopSample> {
         self.trace.take().unwrap_or_default()
     }
+
+    /// Packs the loop-snapshot sections in tag order, handing each to
+    /// `emit`: [`ControlLoop::save`]'s sections with `cpu`, and without
+    /// it every section but the CPU's.
+    fn pack_sections(
+        &self,
+        power: &PowerModel,
+        cpu: Option<&Cpu>,
+        mut emit: impl FnMut(u16, voltctl_snap::ByteWriter),
+    ) {
+        let mut w = voltctl_snap::ByteWriter::new();
+        w.put_f64(self.v_nominal);
+        w.put_u64(power_fingerprint(power));
+        w.put_u64(self.cycles_in_low);
+        w.put_u64(self.cycles_in_normal);
+        w.put_u64(self.cycles_in_high);
+        emit(section::META, w);
+
+        if let Some(cpu) = cpu {
+            let mut w = voltctl_snap::ByteWriter::new();
+            cpu.pack_state(&mut w);
+            emit(section::CPU, w);
+        }
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.pdn_state.pack(&mut w);
+        emit(section::PDN, w);
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.sensor.pack(&mut w);
+        emit(section::SENSOR, w);
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.controller.pack(&mut w);
+        emit(section::CONTROLLER, w);
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.actuator.pack(&mut w);
+        emit(section::ACTUATOR, w);
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.monitor.pack(&mut w);
+        self.histogram.pack(&mut w);
+        // The sample total an older histogram type stored, kept so
+        // checkpoints keep their layout.
+        w.put_u64(self.histogram.total());
+        self.energy.pack(&mut w);
+        emit(section::MONITOR, w);
+
+        let mut w = voltctl_snap::ByteWriter::new();
+        self.trace.pack(&mut w);
+        emit(section::TRACE, w);
+    }
+
+    /// The tail's snapshot bytes under `power`: every section of
+    /// [`ControlLoop::save`] but the CPU's, each behind its length. Two
+    /// tails with equal bytes behave identically on identical CPUs.
+    pub(crate) fn state_bytes(&self, power: &PowerModel) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.pack_sections(power, None, |_, w| {
+            let w = w.into_bytes();
+            bytes.extend_from_slice(&(w.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&w);
+        });
+        bytes
+    }
 }
 
 /// Run-level results.
@@ -744,29 +810,9 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         &self.recorder
     }
 
-    /// The attached telemetry recorder, mutably.
-    pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
-    }
-
-    /// Consumes the loop, returning its recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-
     /// The attached cycle tracer.
     pub fn tracer(&self) -> &T {
         &self.tracer
-    }
-
-    /// The attached cycle tracer, mutably.
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
-    /// Consumes the loop, returning its tracer.
-    pub fn into_tracer(self) -> T {
-        self.tracer
     }
 
     /// Consumes the loop, returning its recorder and tracer together.
@@ -831,48 +877,10 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// [`MemoryRecorder`]: voltctl_telemetry::MemoryRecorder
     pub fn save(&self) -> Vec<u8> {
         let mut snap = SnapshotWriter::new(SnapshotKind::Loop);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        w.put_f64(self.tail.v_nominal);
-        w.put_u64(power_fingerprint(&self.power));
-        w.put_u64(self.tail.cycles_in_low);
-        w.put_u64(self.tail.cycles_in_normal);
-        w.put_u64(self.tail.cycles_in_high);
-        snap.section(section::META, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.cpu.pack_state(&mut w);
-        snap.section(section::CPU, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.pdn_state.pack(&mut w);
-        snap.section(section::PDN, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.sensor.pack(&mut w);
-        snap.section(section::SENSOR, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.controller.pack(&mut w);
-        snap.section(section::CONTROLLER, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.actuator.pack(&mut w);
-        snap.section(section::ACTUATOR, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.monitor.pack(&mut w);
-        self.tail.histogram.pack(&mut w);
-        // The sample total an older histogram type stored, kept so
-        // checkpoints keep their layout.
-        w.put_u64(self.tail.histogram.total());
-        self.tail.energy.pack(&mut w);
-        snap.section(section::MONITOR, LOOP_SECTION_VERSION, w);
-
-        let mut w = voltctl_snap::ByteWriter::new();
-        self.tail.trace.pack(&mut w);
-        snap.section(section::TRACE, LOOP_SECTION_VERSION, w);
-
+        self.tail
+            .pack_sections(&self.power, Some(&self.cpu), |tag, w| {
+                snap.section(tag, LOOP_SECTION_VERSION, w);
+            });
         snap.finish()
     }
 

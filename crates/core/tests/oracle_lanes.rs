@@ -4,11 +4,13 @@
 //!
 //! Random grids of per-lane configurations (controlled/uncontrolled,
 //! tight/loose thresholds, sensor delay and noise, symmetric and
-//! asymmetric actuation scopes, mixed programs, uneven budgets) are run at lane widths 1, 4, 8, and 9 — one past the
-//! widest regular group, so a ragged tail lane is always exercised —
-//! and every lane must agree with its scalar twin on the run report,
-//! the architectural digest, and every per-cycle trace sample to the
-//! bit. A second property drives the mid-run checkpoint contract:
+//! asymmetric actuation scopes, mixed programs, uneven budgets, exact
+//! duplicate lanes) are run at lane widths 1, 4, 8, and 9 — one past
+//! the widest regular group, so a ragged tail lane is always exercised —
+//! and every lane, duplicates included, must agree with its scalar twin
+//! on the run report, the architectural digest, every per-cycle trace
+//! sample, the snapshot bytes and the continuation after scatter, to
+//! the bit. A second property drives the mid-run checkpoint contract:
 //! lane → `save_lane` → scalar restore → re-gather must continue
 //! bit-for-bit, so `--shards`/`--resume` cannot tell the paths apart.
 
@@ -159,9 +161,21 @@ fn draw_actuator(rng: &mut Rng) -> AsymmetricActuator {
     }
 }
 
+/// A random grid in which about one lane in three repeats an earlier
+/// lane exactly (configuration and budget), as a sweep's uncontrolled
+/// baselines do, so `gather` makes it an alias.
 fn grid(seed: u64, width: usize) -> Vec<LaneConfig> {
     let mut rng = Rng::new(seed ^ 0xa5a5_5a5a);
-    (0..width).map(|_| LaneConfig::draw(&mut rng)).collect()
+    let mut configs: Vec<LaneConfig> = Vec::with_capacity(width);
+    for _ in 0..width {
+        let config = if !configs.is_empty() && rng.next_u64().is_multiple_of(3) {
+            configs[(rng.next_u64() % configs.len() as u64) as usize].clone()
+        } else {
+            LaneConfig::draw(&mut rng)
+        };
+        configs.push(config);
+    }
+    configs
 }
 
 fn sample_bits_equal(a: &LoopSample, b: &LoopSample) -> bool {
@@ -194,21 +208,45 @@ fn lanes_match_scalar_bitwise_over_random_grids() {
             );
             lanes.run();
 
+            // Every accessor first: an alias still shares its source's
+            // state until a trace is taken.
+            let mut scalars = Vec::with_capacity(width);
             for (l, config) in configs.iter().enumerate() {
                 let mut scalar = config.build(&pdn, &power);
                 scalar.step_n(config.budget);
                 let out = lanes.outcome(l).expect("lane exited at its budget");
                 ensure_eq!(out.report, scalar.report());
+                ensure_eq!(lanes.report(l), scalar.report());
                 ensure_eq!(out.arch_digest, scalar.arch_digest());
+                ensure_eq!(lanes.arch_digest(l), scalar.arch_digest());
+                ensure!(
+                    lanes.save_lane(l) == scalar.save(),
+                    "lane {l} snapshot bytes"
+                );
+                scalars.push(scalar);
+            }
+            // Aliases come after their source; taking theirs first
+            // must leave the source's trace in place.
+            for (l, scalar) in scalars.iter_mut().enumerate().rev() {
                 let want = scalar.take_trace();
                 let got = lanes.take_trace(l);
                 ensure_eq!(want.len(), got.len());
                 for (k, (a, b)) in want.iter().zip(&got).enumerate() {
                     ensure!(
                         sample_bits_equal(a, b),
-                        "lane {l} ({config:?}) cycle {k}: {a:?} vs {b:?}"
+                        "lane {l} ({:?}) cycle {k}: {a:?} vs {b:?}",
+                        configs[l]
                     );
                 }
+            }
+            // Scattered lanes (aliases included) continue like their
+            // scalar twins.
+            for (l, (mut lane, mut scalar)) in
+                lanes.into_loops().into_iter().zip(scalars).enumerate()
+            {
+                lane.step_n(200);
+                scalar.step_n(200);
+                ensure!(lane.save() == scalar.save(), "lane {l} bytes after scatter");
             }
             Ok(())
         },
@@ -252,8 +290,15 @@ fn mid_run_save_restore_continues_bitwise() {
                 let bytes = first.save_lane(l);
                 let mut paused = config.build(&pdn, &power);
                 paused.step_n(splits[l]);
-                ensure_eq!(bytes, paused.save());
+                ensure!(bytes == paused.save(), "lane {l} checkpoint bytes");
                 restored.push(config.restore(&pdn, &power, &bytes));
+            }
+            // Scattering without a checkpoint continues the same way.
+            for (l, mut sim) in first.into_loops().into_iter().enumerate() {
+                sim.step_n(rests[l]);
+                let mut scalar = configs[l].build(&pdn, &power);
+                scalar.step_n(configs[l].budget);
+                ensure!(sim.save() == scalar.save(), "lane {l} scattered bytes");
             }
             let mut second = LaneLoop::gather(restored, &rests);
             second.run();
@@ -266,7 +311,7 @@ fn mid_run_save_restore_continues_bitwise() {
                 ensure_eq!(out.arch_digest, scalar.arch_digest());
                 // The full snapshot (CPU, PDN, sensor RNG, controller,
                 // trace) agrees after crossing the checkpoint.
-                ensure_eq!(second.save_lane(l), scalar.save());
+                ensure!(second.save_lane(l) == scalar.save(), "lane {l} final bytes");
             }
             Ok(())
         },

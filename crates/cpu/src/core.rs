@@ -180,6 +180,11 @@ impl Cpu {
         &self.config
     }
 
+    /// Digest of the program being run ([`Program::digest`]).
+    pub fn program_digest(&self) -> u64 {
+        self.program.digest()
+    }
+
     /// Current cycle number.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -1575,14 +1580,38 @@ mod tests {
     fn snapshot_truncations_never_panic() {
         use voltctl_snap::{ByteReader, ByteWriter};
         let program = busy_program();
-        let config = CpuConfig::table1();
+        // A minimal valid machine: one-set caches and tiny predictor
+        // tables keep the image near 14 KB (most of it the fixed
+        // completion ring and the one data page), so every prefix is
+        // tried.
+        let mut config = CpuConfig::small();
+        config.bpred = crate::config::BpredConfig {
+            bimodal_entries: 4,
+            gshare_entries: 4,
+            chooser_entries: 4,
+            history_bits: 2,
+            btb_entries: 4,
+            ras_entries: 2,
+        };
+        let one_set = |ways| crate::config::CacheConfig {
+            size_bytes: ways * 64,
+            ways,
+            line_bytes: 64,
+            hit_latency: 1,
+        };
+        config.l1i = one_set(1);
+        config.l1d = one_set(2);
+        config.l2 = one_set(2);
         let mut cpu = Cpu::new(config.clone(), &program).unwrap();
         cpu.run(137);
         let mut w = ByteWriter::new();
         cpu.pack_state(&mut w);
         let bytes = w.into_bytes();
+        assert!(bytes.len() < 16 * 1024, "{} bytes", bytes.len());
+        let mut r = ByteReader::new(&bytes);
+        Cpu::unpack_state(config.clone(), &program, &mut r).expect("the full image decodes");
         // Every proper prefix must fail cleanly with an error.
-        for cut in (0..bytes.len()).step_by(97) {
+        for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(
                 Cpu::unpack_state(config.clone(), &program, &mut r).is_err(),

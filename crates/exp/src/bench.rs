@@ -38,16 +38,6 @@ pub struct BenchOpts {
     pub smoke: bool,
     /// Directory `BENCH_loop.json` and its manifest are written to.
     pub out: PathBuf,
-    /// Prior baseline to diff against: a `BENCH_loop.json` file, or a
-    /// directory holding one. Per-point throughput deltas are
-    /// printed, and any drop past [`tolerance`](BenchOpts::tolerance)
-    /// fails the run.
-    pub compare: Option<PathBuf>,
-    /// Allowed fractional throughput regression against the `compare`
-    /// baseline before the run fails (0.25 = a point may be up to 25%
-    /// slower). The runners are noisy single-core machines, so the
-    /// default is generous; tighten it on quiet hardware.
-    pub tolerance: f64,
 }
 
 impl Default for BenchOpts {
@@ -55,15 +45,9 @@ impl Default for BenchOpts {
         BenchOpts {
             smoke: false,
             out: default_out_dir(),
-            compare: None,
-            tolerance: DEFAULT_TOLERANCE,
         }
     }
 }
-
-/// Default `--tolerance`: allowed fractional slowdown vs. a `--compare`
-/// baseline.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// The default artifact directory for perf baselines (`bench --out`,
 /// `voltctl-serve bench --out`): `<workspace root>/results/perf`.
@@ -86,7 +70,7 @@ pub fn default_out_dir() -> PathBuf {
 /// `latency_p999_ms` to the serve summary, completing the
 /// p50/p90/p99/p999 set the live `/metrics` plane also exposes.
 /// Version 7 dropped the `pdn` suite and each point's convolution-tap
-/// count; `--compare` still reads older files and matches on `path`.
+/// count.
 pub const BENCH_SCHEMA: u64 = 7;
 
 /// Lane gate: the batched lane path must beat the scalar controlled
@@ -278,20 +262,27 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
         .thresholds(thresholds)
         .build()
         .expect("controlled loop constructs");
-    // The lane path at widths 4 and 8: W byte-identical controlled
-    // loops never diverge from each other, so one `Cpu::step` + power
-    // evaluation per lockstep cycle serves all W lanes and a point's
-    // `cycles` is the aggregate W·chunk simulated lane-cycles per
-    // iteration. Lane state persists across samples by scattering back
-    // to scalar loops and re-gathering, so each iteration pays the same
-    // gather/scatter cost the engine's chunk executor pays — the ratio
-    // to `controlled` is an honest end-to-end lane speedup.
-    let lane_loops = |w: usize| -> Option<Vec<ControlLoop>> {
+    // The lane path at widths 4 and 8: W controlled loops that differ
+    // only in their sensor seed. Noise is 0 mV, so the seed is never
+    // drawn and the lanes never diverge: one `Cpu::step` + power
+    // evaluation per lockstep cycle serves all W lanes, while the seeds
+    // keep `gather` from making them aliases, so W tails are stepped. A
+    // point's `cycles` is the aggregate W·chunk simulated lane-cycles
+    // per iteration. Lane state persists across samples by scattering
+    // back to scalar loops and re-gathering, so each iteration pays the
+    // same gather/scatter cost the engine's lane executor pays — the
+    // ratio to `controlled` is an honest end-to-end lane speedup.
+    let lane_loops = |w: u64| -> Option<Vec<ControlLoop>> {
         Some(
             (0..w)
-                .map(|_| {
+                .map(|seed| {
                     builder()
                         .thresholds(thresholds)
+                        .sensor(SensorConfig {
+                            noise_mv: 0.0,
+                            seed,
+                            ..SensorConfig::default()
+                        })
                         .build()
                         .expect("lane loop constructs")
                 })
@@ -301,12 +292,12 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
     let (mut held4, mut held8) = (lane_loops(4), lane_loops(8));
     let lane_step = |held: &mut Option<Vec<ControlLoop>>| {
         let loops = held.take().expect("lane loops persist across samples");
-        let budgets = vec![chunk; loops.len()];
-        let mut lanes = LaneLoop::gather(loops, &budgets);
-        lanes.run();
-        let cycles = lanes.report(0).cycles;
+        let width = loops.len() as u64;
+        let mut lanes = LaneLoop::gather(loops, &vec![chunk; width as usize]);
+        let stepped = lanes.run();
+        assert_eq!(stepped, width * chunk, "every lane is stepped");
         *held = Some(lanes.into_loops());
-        cycles
+        stepped
     };
     let mut recorded = builder()
         .recorder(MemoryRecorder::new())
@@ -430,21 +421,12 @@ pub fn bench_loop(smoke: bool) -> BenchSuite {
 /// # Errors
 ///
 /// Returns every failed check, each labelled by its cause:
-/// NaN/zero-throughput points, a full-scale lane speedup below
-/// [`MIN_LANE_SPEEDUP`], or `--compare` regressions past the tolerance.
-/// The artifacts are still written first so CI can upload them. An
-/// unreadable baseline or a failed write returns its error message.
+/// NaN/zero-throughput points, or a full-scale lane speedup below
+/// [`MIN_LANE_SPEEDUP`]. The artifacts are still written first so CI
+/// can upload them. A failed write returns its error message.
 pub fn run(opts: &BenchOpts) -> Result<PathBuf, String> {
     let started = Instant::now();
     let suite = bench_loop(opts.smoke);
-    // The baseline loads *before* the artifact is (over)written:
-    // comparing against the default out directory — the
-    // regenerate-in-place workflow — must diff against the prior run,
-    // not the file this one just wrote.
-    let baseline = match &opts.compare {
-        Some(base) => load_baseline(base, suite.name)?,
-        None => None,
-    };
     let path = write_suite(&opts.out, &suite).map_err(|e| {
         format!(
             "failed to write BENCH_{}.json under {}: {e}",
@@ -473,29 +455,6 @@ pub fn run(opts: &BenchOpts) -> Result<PathBuf, String> {
             ));
         }
     }
-    // Baseline diff: per-point throughput deltas against the prior
-    // artifact, failing on any drop past the tolerance.
-    if let Some(base) = &opts.compare {
-        match &baseline {
-            Some(old) => {
-                let diff = compare_suite(&suite, old, opts.tolerance);
-                print!("{}", diff.rendered);
-                if !diff.regressions.is_empty() {
-                    failures.push(format!(
-                        "throughput regressions against {}: {}",
-                        old.origin.display(),
-                        diff.regressions.join(", ")
-                    ));
-                }
-            }
-            None => eprintln!(
-                "[voltctl-exp] no {} baseline under {} — skipping compare",
-                suite.name,
-                base.display()
-            ),
-        }
-    }
-
     // Provenance: baselines are regenerate-in-place, so their manifest
     // is too (plain overwrite, not the -N writer).
     let mut manifest = crate::manifest::Manifest::new("bench");
@@ -516,133 +475,6 @@ pub fn run(opts: &BenchOpts) -> Result<PathBuf, String> {
         Ok(path)
     } else {
         Err(format!("BENCH_{}: {}", suite.name, failures.join("; ")))
-    }
-}
-
-/// A prior suite loaded from a `BENCH_*.json` artifact (any schema —
-/// every version has carried `path`/`cycles_per_sec`; fields a version
-/// no longer writes are ignored).
-#[derive(Debug)]
-struct OldSuite {
-    origin: PathBuf,
-    smoke: Option<bool>,
-    points: Vec<(String, Option<f64>)>,
-}
-
-/// Loads the baseline for `suite_name` from `base`: a directory holding
-/// `BENCH_<name>.json`, or a single artifact file (skipped with
-/// `Ok(None)` when it describes a different suite).
-///
-/// # Errors
-///
-/// Unreadable or malformed JSON is an error; a missing per-suite file
-/// under a directory is `Ok(None)`.
-fn load_baseline(base: &Path, suite_name: &str) -> Result<Option<OldSuite>, String> {
-    let path = if base.is_dir() {
-        let p = base.join(format!("BENCH_{suite_name}.json"));
-        if !p.exists() {
-            return Ok(None);
-        }
-        p
-    } else {
-        base.to_path_buf()
-    };
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let json = voltctl_check::Json::parse(&text)
-        .map_err(|e| format!("{} does not parse: {e}", path.display()))?;
-    match json.get("bench").and_then(|b| b.as_str()) {
-        Some(name) if name == suite_name => {}
-        Some(_) => return Ok(None),
-        None => return Err(format!("{}: no \"bench\" field", path.display())),
-    }
-    let points = json
-        .get("points")
-        .and_then(|p| p.as_arr())
-        .ok_or_else(|| format!("{}: no \"points\" array", path.display()))?
-        .iter()
-        .filter_map(|p| {
-            Some((
-                p.get("path")?.as_str()?.to_string(),
-                p.get("cycles_per_sec").and_then(|v| v.as_f64()),
-            ))
-        })
-        .collect();
-    Ok(Some(OldSuite {
-        origin: path,
-        smoke: json.get("smoke").and_then(|s| s.as_bool()),
-        points,
-    }))
-}
-
-/// A rendered baseline diff plus the regressions it found.
-struct CompareOutcome {
-    rendered: String,
-    regressions: Vec<String>,
-}
-
-/// Diffs the current suite against a loaded baseline, point by point
-/// (matched on `path`). A point is a regression when its throughput
-/// dropped by more than `tolerance`; new, dropped, and unmeasurable
-/// (`null`) points are annotated but never fail.
-fn compare_suite(suite: &BenchSuite, old: &OldSuite, tolerance: f64) -> CompareOutcome {
-    let mut s = String::new();
-    let mut regressions = Vec::new();
-    let _ = writeln!(
-        s,
-        "bench {} vs {} (tolerance {:.0}%)",
-        suite.name,
-        old.origin.display(),
-        tolerance * 100.0
-    );
-    if old.smoke.is_some_and(|o| o != suite.smoke) {
-        let _ = writeln!(
-            s,
-            "  warning: smoke={} now vs smoke={} in the baseline — deltas compare different budgets",
-            suite.smoke,
-            old.smoke.unwrap()
-        );
-    }
-    let _ = writeln!(
-        s,
-        "  {:<16}  {:>12}  {:>12}  {:>8}",
-        "path", "old cyc/s", "new cyc/s", "delta"
-    );
-    for p in &suite.points {
-        let prior = old.points.iter().find(|(path, _)| *path == p.path);
-        let (old_txt, delta_txt) = match prior {
-            Some((_, Some(old_cps))) if p.cycles_per_sec.is_finite() && *old_cps > 0.0 => {
-                let delta = p.cycles_per_sec / old_cps - 1.0;
-                if delta < -tolerance {
-                    regressions.push(format!(
-                        "{} {:.1}% below baseline (tolerance {:.0}%)",
-                        p.path,
-                        -delta * 100.0,
-                        tolerance * 100.0
-                    ));
-                }
-                (format!("{old_cps:.3e}"), format!("{:+.1}%", delta * 100.0))
-            }
-            Some(_) => ("null".to_string(), "n/a".to_string()),
-            None => ("-".to_string(), "new".to_string()),
-        };
-        let _ = writeln!(
-            s,
-            "  {:<16}  {:>12}  {:>12}  {:>8}",
-            p.path,
-            old_txt,
-            format!("{:.3e}", p.cycles_per_sec),
-            delta_txt
-        );
-    }
-    for (path, _) in &old.points {
-        if !suite.points.iter().any(|p| p.path == *path) {
-            let _ = writeln!(s, "  {path:<16}  (dropped from this run)");
-        }
-    }
-    CompareOutcome {
-        rendered: s,
-        regressions,
     }
 }
 
@@ -746,7 +578,6 @@ mod tests {
         let opts = BenchOpts {
             smoke: true,
             out: dir.clone(),
-            ..BenchOpts::default()
         };
         let path = run(&opts).expect("smoke bench must produce sane throughput");
         assert_eq!(path, dir.join("BENCH_loop.json"));
@@ -761,146 +592,5 @@ mod tests {
         voltctl_check::Json::parse(&manifest).expect("manifest parses");
         assert!(manifest.contains("\"path\": \"BENCH_loop.json\""));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn tiny_suite(cps: f64) -> BenchSuite {
-        BenchSuite {
-            name: "loop",
-            smoke: true,
-            points: vec![BenchPoint {
-                path: "controlled",
-                cycles: 100,
-                wall_ns: 1.0,
-                best_ns: 1.0,
-                cycles_per_sec: cps,
-                ns_per_cycle: 1.0,
-            }],
-            summary: vec![],
-        }
-    }
-
-    #[test]
-    fn compare_flags_regressions_past_tolerance_only() {
-        let dir = std::env::temp_dir().join(format!("voltctl-bench-cmp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = tiny_suite(1000.0);
-        std::fs::write(dir.join("BENCH_loop.json"), baseline.to_json()).unwrap();
-
-        // 10% down, 25% tolerance: annotated, not failed.
-        let ok = load_baseline(&dir, "loop").unwrap().unwrap();
-        let diff = compare_suite(&tiny_suite(900.0), &ok, 0.25);
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.rendered.contains("-10.0%"), "{}", diff.rendered);
-
-        // 40% down: regression.
-        let diff = compare_suite(&tiny_suite(600.0), &ok, 0.25);
-        assert_eq!(diff.regressions.len(), 1);
-        assert!(diff.regressions[0].contains("40.0% below baseline"));
-
-        // Faster is never a regression.
-        let diff = compare_suite(&tiny_suite(2000.0), &ok, 0.25);
-        assert!(diff.regressions.is_empty());
-        assert!(diff.rendered.contains("+100.0%"));
-
-        // A single-file baseline for a different suite is skipped.
-        assert!(load_baseline(&dir.join("BENCH_loop.json"), "serve")
-            .unwrap()
-            .is_none());
-        // A missing per-suite file under a directory is skipped too.
-        assert!(load_baseline(&dir, "serve").unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compare_annotates_new_and_dropped_points() {
-        let mut old = tiny_suite(1000.0);
-        old.points[0].path = "uncontrolled";
-        let dir = std::env::temp_dir().join(format!("voltctl-bench-cmp2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("BENCH_loop.json"), old.to_json()).unwrap();
-        let old = load_baseline(&dir, "loop").unwrap().unwrap();
-        let diff = compare_suite(&tiny_suite(1000.0), &old, 0.25);
-        assert!(diff.regressions.is_empty());
-        assert!(diff.rendered.contains("new"), "{}", diff.rendered);
-        assert!(diff.rendered.contains("dropped from this run"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The committed baseline predates schema 7 (its points still carry a
-    /// tap count); it must load, and every point of today's suite must
-    /// find its prior row by path alone.
-    #[test]
-    fn committed_loop_baseline_matches_every_point_by_path() {
-        let committed =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/perf/BENCH_loop.json");
-        let text = std::fs::read_to_string(&committed).unwrap();
-        let schema = voltctl_check::Json::parse(&text)
-            .unwrap()
-            .get("schema")
-            .and_then(|s| s.as_f64())
-            .unwrap();
-        assert!(schema < 7.0, "the committed file predates schema 7");
-        let old = load_baseline(&committed, "loop").unwrap().unwrap();
-        let suite = bench_loop(true);
-        assert_eq!(old.points.len(), suite.points.len());
-        for p in &suite.points {
-            assert!(
-                old.points.iter().any(|(path, _)| path == p.path),
-                "{} has no prior row",
-                p.path
-            );
-        }
-        let diff = compare_suite(&suite, &old, f64::INFINITY);
-        assert!(
-            !diff.rendered.contains("dropped from this run")
-                && !diff.rendered.lines().any(|l| l.ends_with(" new")),
-            "{}",
-            diff.rendered
-        );
-    }
-
-    /// A `--compare` regression is reported as a regression, not as a
-    /// NaN/zero-throughput point.
-    #[test]
-    fn compare_regression_is_labelled_by_its_cause() {
-        let base = std::env::temp_dir().join(format!("voltctl-bench-reg-{}", std::process::id()));
-        let out = base.join("out");
-        std::fs::create_dir_all(&base).unwrap();
-        let paths = [
-            "uncontrolled",
-            "controlled",
-            "lane_w4",
-            "lane_w8",
-            "recorded",
-            "traced",
-            "recorded_trace",
-            "snapshot_save",
-            "snapshot_restore",
-        ];
-        let inflated = BenchSuite {
-            points: paths
-                .iter()
-                .map(|&path| BenchPoint {
-                    path,
-                    ..tiny_suite(1e18).points[0].clone()
-                })
-                .collect(),
-            ..tiny_suite(1e18)
-        };
-        std::fs::write(base.join("BENCH_loop.json"), inflated.to_json()).unwrap();
-        let opts = BenchOpts {
-            smoke: true,
-            out: out.clone(),
-            compare: Some(base.clone()),
-            ..BenchOpts::default()
-        };
-        let err = run(&opts).expect_err("every point is far below an inflated baseline");
-        assert!(err.contains("throughput regressions"), "{err}");
-        assert!(err.contains("controlled"), "{err}");
-        assert!(err.contains("below baseline"), "{err}");
-        assert!(!err.contains("NaN"), "{err}");
-        // The artifact is still written for upload.
-        assert!(out.join("BENCH_loop.json").exists());
-        std::fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -21,13 +21,13 @@
 //! This is verified by `tests/determinism.rs` (byte-identical reports at
 //! `--jobs 1` vs `--jobs 8`).
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use voltctl_core::{ControlLoop, LaneLoop, LaneOutcome};
+use voltctl_cpu::Cpu;
 use voltctl_telemetry::{MemoryRecorder, Recorder, Stopwatch};
 use voltctl_trace::{Cause, FlightRecorder, MergedTrace, NullTracer, Tracer};
 
@@ -446,23 +446,22 @@ pub(crate) fn run_cells_profiled(
 /// The lane-batched back end of [`run_cells_profiled`], in three phases:
 ///
 /// 1. **Plan** ([`plan_lanes`], span `exp;<id>;lanes;gather;grid`):
-///    workers build every cell's lanes and remove duplicates across the
-///    whole range — sweep grids re-run the same uncontrolled baseline in
-///    every cell, and determinism makes one run's outcome exact for all
-///    of them.
-/// 2. **Step** (span `exp;<id>;lanes;step;chunk<u>` per unit): each work
-///    unit — the distinct lanes of one program and machine — is gathered
-///    into one [`LaneLoop`] and run to completion. Inside it the
-///    baseline is stepped once, and every controlled lane shares its CPU
-///    until its first intervention.
+///    workers build every cell's lanes, and the lanes go, in grid order,
+///    to one work unit per program and machine.
+/// 2. **Step** (span `exp;<id>;lanes;step;chunk<u>` per unit): each unit
+///    is gathered into one [`LaneLoop`] and run to completion. Sweep
+///    grids re-run the same uncontrolled baseline in every cell;
+///    [`LaneLoop::gather`] makes each repeat an alias of the first, so
+///    the baseline is stepped once for the whole range, and every
+///    controlled lane shares its CPU until its first intervention.
 /// 3. **Scatter** (span `exp;<id>;lanes;scatter;grid`): each cell's
 ///    outcomes, looked up through the plan's `origin`, go to
 ///    [`Scenario::finish_batch_cell`] in grid order. Zero-lane cells
 ///    (nothing to simulate) are finished here too.
 ///
 /// Units only decide scheduling, never results: every lane's arithmetic
-/// is independent of its neighbours, and [`LaneLoop::gather`] shares a
-/// CPU only between lanes whose CPU bytes are identical.
+/// is independent of its neighbours, and `gather` shares a CPU or a
+/// whole lane only between byte-identical states.
 fn run_cells_batched(
     scenario: &dyn Scenario,
     ctx: &Ctx,
@@ -486,10 +485,9 @@ fn run_cells_batched(
     let done: Vec<Mutex<Vec<LaneOutcome>>> = units.iter().map(|_| Mutex::default()).collect();
     run_pool(jobs, units.len(), |u, _| {
         let sw = Stopwatch::started_if(profiler.is_some());
-        let lanes = std::mem::take(&mut *units[u].lock().expect("unit poisoned"));
-        let (sims, budgets): (Vec<ControlLoop>, Vec<u64>) =
-            lanes.into_iter().map(|l| (l.sim, l.budget)).unzip();
-        let mut unit = LaneLoop::gather(sims, &budgets);
+        let mut unit = gather(std::mem::take(
+            &mut *units[u].lock().expect("unit poisoned"),
+        ));
         unit.run();
         *done[u].lock().expect("unit poisoned") = (0..unit.width())
             .map(|l| {
@@ -519,168 +517,79 @@ fn run_cells_batched(
     results
 }
 
-/// The lanes of a grid range, deduplicated across the whole range and
-/// grouped into work units.
-#[derive(Debug)]
-pub(crate) struct LanePlan<L> {
-    /// Work units: the distinct lanes that share a CPU key, in the grid
-    /// order of their first use; the largest unit first.
-    pub(crate) units: Vec<Vec<L>>,
-    /// `origin[k][i] = (u, l)`: lane `i` of the range's `k`-th cell is
-    /// (a duplicate of) lane `l` of unit `u`.
-    pub(crate) origin: Vec<Vec<(usize, usize)>>,
+/// Gathers a work unit's lanes into one [`LaneLoop`].
+fn gather(lanes: Vec<BatchLane>) -> LaneLoop {
+    let (sims, budgets): (Vec<ControlLoop>, Vec<u64>) =
+        lanes.into_iter().map(|l| (l.sim, l.budget)).unzip();
+    LaneLoop::gather(sims, &budgets)
 }
 
-/// Builds the [`LanePlan`] of `range` on up to `jobs` workers. Each
-/// worker calls [`Scenario::batch_cell`] for the cells it claims and
-/// serializes each lane once; the snapshot bytes, the budget and their
-/// keys go to a shared [`LaneDedup`]. Pure: nothing is stepped or
-/// recorded, so tests can call it.
-pub(crate) fn plan_lanes(
+/// The lanes of a grid range, grouped into work units.
+#[derive(Debug)]
+struct LanePlan {
+    /// Work units: the lanes of one program and machine, in grid order;
+    /// the largest unit first.
+    units: Vec<Vec<BatchLane>>,
+    /// `origin[k][i] = (u, l)`: lane `i` of the range's `k`-th cell is
+    /// lane `l` of unit `u`.
+    origin: Vec<Vec<(usize, usize)>>,
+}
+
+/// Builds the [`LanePlan`] of `range`: up to `jobs` workers call
+/// [`Scenario::batch_cell`] for the cells they claim, then the lanes go,
+/// in grid order, to one unit per (program digest, CPU configuration
+/// fingerprint), the key every lane [`LaneLoop::gather`] could place in
+/// one group shares. Units are sorted largest first, ties in the grid
+/// order of first use. Pure: nothing is stepped or recorded, so tests
+/// can call it.
+fn plan_lanes(
     scenario: &dyn Scenario,
     ctx: &Ctx,
     jobs: usize,
     range: std::ops::Range<usize>,
-) -> LanePlan<BatchLane> {
+) -> LanePlan {
     let base = range.start;
-    let dedup = Mutex::new(LaneDedup::new(range.len()));
-    run_pool(jobs, range.len(), |k, _| {
-        for (i, lane) in scenario.batch_cell(ctx, base + k).into_iter().enumerate() {
-            let bytes = lane.sim.save();
-            let (share, image) = voltctl_core::lane::snapshot_keys(&bytes)
-                .expect("a loop snapshot has a CPU section");
-            let key = LaneKey {
-                budget: lane.budget,
-                share,
-                image,
-            };
-            dedup
-                .lock()
-                .expect("lane plan poisoned")
-                .insert((k, i), key, bytes, lane);
-        }
+    let cells: Vec<Mutex<Vec<BatchLane>>> = range.map(|_| Mutex::default()).collect();
+    run_pool(jobs, cells.len(), |k, _| {
+        *cells[k].lock().expect("lane plan poisoned") = scenario.batch_cell(ctx, base + k);
     });
-    dedup.into_inner().expect("lane plan poisoned").finish()
-}
+    let cells: Vec<Vec<BatchLane>> = cells
+        .into_iter()
+        .map(|c| c.into_inner().expect("lane plan poisoned"))
+        .collect();
 
-/// What [`LaneDedup`] knows about a lane besides its snapshot bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneKey {
-    /// The lane's cycle budget: equal bytes under different budgets are
-    /// different runs.
-    pub(crate) budget: u64,
-    /// The CPU-sharing key (program and machine): decides the unit.
-    pub(crate) share: u64,
-    /// A hash of the snapshot bytes: only a prefilter for the byte
-    /// comparison.
-    pub(crate) image: u64,
-}
-
-/// A distinct lane while the plan is being built.
-#[derive(Debug)]
-struct Distinct<L> {
-    lane: L,
-    share: u64,
-    bytes: Vec<u8>,
-    /// The first grid position (cell, lane) that uses it.
-    first: (usize, usize),
-}
-
-/// Deduplicates lanes by budget and exact snapshot bytes as they are
-/// built, in any order. A duplicate's loop and bytes are dropped on
-/// insertion; [`finish`](Self::finish) orders the distinct lanes by
-/// first grid use, so the plan does not depend on which worker built
-/// what first.
-#[derive(Debug)]
-pub(crate) struct LaneDedup<L> {
-    /// `(budget, image)` → the distinct lanes with that prefilter key.
-    index: HashMap<(u64, u64), Vec<usize>>,
-    distinct: Vec<Distinct<L>>,
-    origin: Vec<Vec<usize>>,
-}
-
-impl<L> LaneDedup<L> {
-    /// An empty plan over `cells` cells.
-    pub(crate) fn new(cells: usize) -> LaneDedup<L> {
-        LaneDedup {
-            index: HashMap::new(),
-            distinct: Vec::new(),
-            origin: vec![Vec::new(); cells],
+    let unit_key = |lane: &BatchLane| {
+        let cpu = lane.sim.cpu();
+        (cpu.program_digest(), Cpu::config_fingerprint(cpu.config()))
+    };
+    // (key, lanes) per unit in first-use order, then largest first.
+    let mut keys: Vec<((u64, u64), usize)> = Vec::new();
+    for key in cells.iter().flatten().map(unit_key) {
+        match keys.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, size)) => *size += 1,
+            None => keys.push((key, 1)),
         }
     }
+    keys.sort_by_key(|&(_, size)| std::cmp::Reverse(size));
 
-    /// Records lane `at.1` of cell `at.0` (cells may arrive in any
-    /// order, a cell's lanes in lane order).
-    pub(crate) fn insert(&mut self, at: (usize, usize), key: LaneKey, bytes: Vec<u8>, lane: L) {
-        let candidates = self.index.entry((key.budget, key.image)).or_default();
-        let d = match candidates
-            .iter()
-            .copied()
-            .find(|&d| self.distinct[d].bytes == bytes)
-        {
-            Some(d) => {
-                let first = &mut self.distinct[d].first;
-                *first = (*first).min(at);
-                d
-            }
-            None => {
-                candidates.push(self.distinct.len());
-                self.distinct.push(Distinct {
-                    lane,
-                    share: key.share,
-                    bytes,
-                    first: at,
-                });
-                self.distinct.len() - 1
-            }
-        };
-        debug_assert_eq!(
-            self.origin[at.0].len(),
-            at.1,
-            "a cell's lanes arrive in order"
-        );
-        self.origin[at.0].push(d);
-    }
-
-    /// Drops the distinct lanes' bytes and groups the lanes into units
-    /// by CPU-sharing key: the largest unit first, ties and the lanes
-    /// inside a unit in the grid order of their first use.
-    pub(crate) fn finish(self) -> LanePlan<L> {
-        // (share key, lanes, first use) per unit, in claim order.
-        let mut keys: Vec<(u64, usize, (usize, usize))> = Vec::new();
-        for d in &self.distinct {
-            match keys.iter_mut().find(|(share, ..)| *share == d.share) {
-                Some((_, size, first)) => {
-                    *size += 1;
-                    *first = (*first).min(d.first);
-                }
-                None => keys.push((d.share, 1, d.first)),
-            }
-        }
-        keys.sort_by_key(|&(_, size, first)| (std::cmp::Reverse(size), first));
-
-        let mut distinct: Vec<(usize, Distinct<L>)> =
-            self.distinct.into_iter().enumerate().collect();
-        distinct.sort_by_key(|(_, lane)| lane.first);
-        let mut units: Vec<Vec<L>> = keys.iter().map(|_| Vec::new()).collect();
-        let mut place = vec![(0, 0); distinct.len()];
-        for (d, lane) in distinct {
-            let u = keys
-                .iter()
-                .position(|&(share, ..)| share == lane.share)
-                .expect("every key has a unit");
-            place[d] = (u, units[u].len());
-            units[u].push(lane.lane);
-        }
-        LanePlan {
-            units,
-            origin: self
-                .origin
-                .into_iter()
-                .map(|cell| cell.into_iter().map(|d| place[d]).collect())
-                .collect(),
-        }
-    }
+    let mut units: Vec<Vec<BatchLane>> = keys.iter().map(|_| Vec::new()).collect();
+    let origin = cells
+        .into_iter()
+        .map(|cell| {
+            cell.into_iter()
+                .map(|lane| {
+                    let key = unit_key(&lane);
+                    let u = keys
+                        .iter()
+                        .position(|&(k, _)| k == key)
+                        .expect("every key has a unit");
+                    units[u].push(lane);
+                    (u, units[u].len() - 1)
+                })
+                .collect()
+        })
+        .collect();
+    LanePlan { units, origin }
 }
 
 /// The engine's one worker pool: runs work units `0..units` on up to
@@ -931,66 +840,27 @@ mod tests {
             let scenario = crate::scenarios::find(id).expect("registered scenario");
             let cells = scenario.cells(&smoke()).len();
             let plan = plan_lanes(scenario, &smoke(), 2, 0..cells);
-            let lanes: usize = plan.units.iter().map(Vec::len).sum();
+            let serial = plan_lanes(scenario, &smoke(), 1, 0..cells);
+            assert_eq!(serial.origin, plan.origin, "{id}: plan is jobs-invariant");
             assert_eq!(
                 plan.origin.iter().map(Vec::len).sum::<usize>(),
                 built,
                 "{id}"
             );
-            assert_eq!(lanes, simulated, "{id}");
             assert_eq!(plan.units.len(), 9, "{id}: one unit per program");
-            for unit in &plan.units {
-                let baselines = unit.iter().filter(|l| !l.sim.is_controlled()).count();
-                assert_eq!(baselines, 1, "{id}: a unit holds its program's baseline");
-                assert!(unit.len() <= 1 + cells, "{id}: 1 + (cells) lanes at most");
+            let mut stepped = 0;
+            for unit in plan.units {
+                // A unit is one program's baseline and controlled lanes,
+                // one of each per cell with lanes; the baseline is
+                // stepped once, every controlled lane on its own.
+                let controlled = unit.iter().filter(|l| l.sim.is_controlled()).count();
+                assert_eq!(2 * controlled, unit.len(), "{id}");
+                let lanes = gather(unit);
+                assert_eq!(lanes.active_lane_count(), 1 + controlled, "{id}");
+                stepped += lanes.active_lane_count();
             }
-            // Lanes come as (baseline, controlled) per program: each
-            // program's baseline is one lane for the whole grid, and the
-            // programs' baselines sit in different units.
-            let mut baselines: Vec<(usize, usize)> = (0..9)
-                .map(|program| {
-                    let mut uses = plan.origin.iter().filter(|lanes| !lanes.is_empty());
-                    let first = uses.next().expect("a cell with lanes")[2 * program];
-                    assert!(uses.all(|lanes| lanes[2 * program] == first), "{id}");
-                    first
-                })
-                .collect();
-            baselines.sort();
-            baselines.dedup_by_key(|&mut (u, _)| u);
-            assert_eq!(baselines.len(), 9, "{id}: one baseline per unit");
-
-            let serial = plan_lanes(scenario, &smoke(), 1, 0..cells);
-            assert_eq!(serial.origin, plan.origin, "{id}: plan is jobs-invariant");
+            assert_eq!(stepped, simulated, "{id}");
         }
-    }
-
-    #[test]
-    fn dedup_merges_equal_bytes_only() {
-        let key = LaneKey {
-            budget: 10,
-            share: 1,
-            image: 7,
-        };
-        let mut dedup = LaneDedup::new(3);
-        // Cells arrive out of grid order, as they do from workers.
-        dedup.insert((1, 0), key, vec![1, 2, 3], "c");
-        dedup.insert((0, 0), key, vec![1, 2, 3], "a");
-        dedup.insert((0, 1), key, vec![1, 2, 4], "b");
-        dedup.insert((2, 0), LaneKey { budget: 11, ..key }, vec![1, 2, 3], "d");
-        dedup.insert((2, 1), LaneKey { share: 2, ..key }, vec![9], "e");
-        let plan = dedup.finish();
-        // "a" duplicates "c" (equal budget and bytes): one survives, in
-        // the place of its first grid use. "b" matches on hash only; "d"
-        // has equal bytes under another budget.
-        assert_eq!(
-            plan.units,
-            [vec!["c", "b", "d"], vec!["e"]],
-            "largest unit first"
-        );
-        assert_eq!(
-            plan.origin,
-            [vec![(0, 0), (0, 1)], vec![(0, 0)], vec![(0, 2), (1, 0)]]
-        );
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!                         [--telemetry MODE] [--telemetry-out DIR]
 //!                         [--shards K] [--resume DIR] [--checkpoint-dir DIR]
 //! voltctl-exp run --all [same flags]
-//! voltctl-exp bench [--smoke] [--out DIR] [--compare OLD]
-//!                   [--tolerance FRAC]
+//! voltctl-exp bench [--smoke] [--out DIR]
 //! voltctl-exp golden [--bless] [--jobs N] [--dir DIR] [id...]
 //! voltctl-exp snapshot inspect <file>...
 //! ```
@@ -30,8 +29,7 @@ USAGE:
     voltctl-exp list
     voltctl-exp run <id>... [OPTIONS]
     voltctl-exp run --all [OPTIONS]
-    voltctl-exp bench [--smoke] [--out <DIR>] [--compare <OLD>]
-                      [--tolerance <FRAC>]
+    voltctl-exp bench [--smoke] [--out <DIR>]
     voltctl-exp golden [--bless] [--jobs <N>] [--dir <DIR>] [<id>...]
     voltctl-exp snapshot inspect <file>...
 
@@ -69,12 +67,6 @@ BENCH OPTIONS:
     --smoke               tiny iteration budgets (CI plumbing check)
     --out <DIR>           artifact directory (default: results/perf);
                           writes BENCH_loop.json
-    --compare <OLD>       diff against a prior baseline: a BENCH_loop.json
-                          file or a directory holding one;
-                          prints per-point throughput deltas and exits
-                          nonzero on any regression past the tolerance
-    --tolerance <FRAC>    allowed fractional throughput drop under
-                          --compare before failing (default: 0.25)
 
 GOLDEN OPTIONS:
     --bless               rewrite the snapshots instead of comparing
@@ -471,16 +463,6 @@ fn cmd_bench(args: &[String]) {
         match arg.split('=').next().unwrap_or(arg.as_str()) {
             "--smoke" => opts.smoke = true,
             "--out" => opts.out = PathBuf::from(flag_value(arg, &mut it)),
-            "--compare" => opts.compare = Some(PathBuf::from(flag_value(arg, &mut it))),
-            "--tolerance" => {
-                let raw = flag_value(arg, &mut it);
-                opts.tolerance = raw.parse().unwrap_or_else(|_| {
-                    fail(&format!("--tolerance needs a fraction, got {raw:?}"))
-                });
-                if opts.tolerance.is_nan() || opts.tolerance < 0.0 {
-                    fail("--tolerance must be >= 0");
-                }
-            }
             _ => fail(&format!("unknown bench argument {arg:?}")),
         }
     }

@@ -12,7 +12,6 @@ fn smoke_bench_artifacts_parse_and_are_sane() {
     let opts = BenchOpts {
         smoke: true,
         out: dir.clone(),
-        ..BenchOpts::default()
     };
     let path = bench::run(&opts).expect("smoke bench must pass its own sanity gate");
     assert_eq!(

@@ -158,11 +158,6 @@ impl GridPdn {
             self.il[q] = il0[q] + h / 6.0 * (k1i[q] + 2.0 * k2i[q] + 2.0 * k3i[q] + k4i[q]);
         }
     }
-
-    /// Worst (lowest) quadrant voltage right now.
-    pub fn min_voltage(&self) -> f64 {
-        self.voltages().iter().cloned().fold(f64::MAX, f64::min)
-    }
 }
 
 fn advance(

@@ -706,11 +706,6 @@ impl JobTable {
         self.lock().shutdown = true;
         self.changed.notify_all();
     }
-
-    /// Whether [`shutdown`](JobTable::shutdown) has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
-    }
 }
 
 #[cfg(test)]
