@@ -217,13 +217,16 @@ fn spin_program() -> Program {
 /// gather (a CPU state image per lane) and one scatter per iteration;
 /// at a 5,000-cycle chunk that cost outweighs the shared `Cpu::step` and
 /// `lane_speedup_w*` measures gathering, not lane sharing. 50,000-cycle
-/// chunks amortize it as full scale does, in under two seconds of bench
-/// time. Debug builds keep the small chunk: their timings gate nothing,
-/// and the unit tests run the suite several times.
+/// chunks amortize it as full scale does. Release smoke runs take 15
+/// interleaved samples: with 5, the median ratio
+/// `telemetry_overhead_frac` read 0.35 and 0.40 on an unchanged tree in
+/// two of three runs on a shared 2-vCPU host, over CI's 0.30 gate on
+/// noise alone. Debug builds keep the small budget: their timings gate
+/// nothing, and the unit tests run the suite several times.
 const SMOKE_BUDGET: (u64, usize) = if cfg!(debug_assertions) {
     (5_000, 2)
 } else {
-    (50_000, 5)
+    (50_000, 15)
 };
 
 /// The closed-loop suite: `ControlLoop::step` throughput uncontrolled,

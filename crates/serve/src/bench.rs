@@ -22,7 +22,7 @@
 //! provenance in `manifest_serve.json` (a separate file so the batch
 //! bench's `manifest.json` survives).
 
-use crate::client::request;
+use crate::client::{request, HttpResponse};
 use crate::server::{spawn, ServeConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -89,7 +89,8 @@ pub struct BenchReport {
     pub suite: BenchSuite,
     /// Requests that did not complete with a 200 report.
     pub failed: u64,
-    /// 429 rejections absorbed by retry (not failures).
+    /// 429 (queue full) and 503 (handler pool busy) rejections absorbed
+    /// by retry (not failures).
     pub retries: u64,
     /// Files written.
     pub paths: Vec<PathBuf>,
@@ -118,8 +119,29 @@ fn submit_body(scenario: &str, smoke: bool) -> Vec<u8> {
         .into_bytes()
 }
 
-/// One closed-loop request: submit (retrying 429s), stream to terminal,
-/// fetch the report. Returns the latency on success.
+/// One request, retried while the daemon sheds the connection (`503` +
+/// `Retry-After` from a saturated handler pool). Each retry counts in
+/// `retries`, like a 429.
+fn request_unshed(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&[u8]>,
+    retries: &AtomicU64,
+) -> Result<HttpResponse, String> {
+    loop {
+        let resp = request(addr, method, path, body)
+            .map_err(|e| format!("{method} {path} failed: {e}"))?;
+        if resp.status != 503 || resp.header("retry-after").is_none() {
+            return Ok(resp);
+        }
+        retries.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One closed-loop request: submit (retrying 429s and 503s), stream to
+/// terminal, fetch the report. Returns the latency on success.
 fn drive_request(
     addr: SocketAddr,
     scenario: &str,
@@ -129,8 +151,7 @@ fn drive_request(
     let body = submit_body(scenario, smoke);
     let started = Instant::now();
     let id = loop {
-        let resp = request(addr, "POST", "/jobs", Some(&body))
-            .map_err(|e| format!("submit failed: {e}"))?;
+        let resp = request_unshed(addr, "POST", "/jobs", Some(&body), retries)?;
         match resp.status {
             202 => {
                 let json = Json::parse(&resp.text())
@@ -147,8 +168,7 @@ fn drive_request(
             other => return Err(format!("submit got {other}: {}", resp.text())),
         }
     };
-    let stream = request(addr, "GET", &format!("/jobs/{id}/stream"), None)
-        .map_err(|e| format!("stream failed: {e}"))?;
+    let stream = request_unshed(addr, "GET", &format!("/jobs/{id}/stream"), None, retries)?;
     if stream.status != 200 {
         return Err(format!("stream got {}", stream.status));
     }
@@ -157,8 +177,7 @@ fn drive_request(
         return Err(format!("job {id} did not finish: {events}"));
     }
     let elapsed = started.elapsed();
-    let report = request(addr, "GET", &format!("/jobs/{id}/report"), None)
-        .map_err(|e| format!("report fetch failed: {e}"))?;
+    let report = request_unshed(addr, "GET", &format!("/jobs/{id}/report"), None, retries)?;
     if report.status != 200 || report.body.is_empty() {
         return Err(format!(
             "report got {} ({} bytes)",
@@ -395,6 +414,35 @@ mod tests {
                 "mixed_scenario({seed:#x}, {i})"
             );
         }
+    }
+
+    #[test]
+    fn shed_connections_are_retried_and_counted() {
+        use crate::http::Response;
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Two sheds, then a plain 503 (no Retry-After), which is an
+        // answer, not a shed.
+        let server = std::thread::spawn(move || {
+            for (i, stream) in listener.incoming().take(3).enumerate() {
+                let mut stream = stream.unwrap();
+                let mut head = [0u8; 1024];
+                let _ = stream.read(&mut head);
+                let mut resp = Response::text(503, "busy");
+                if i < 2 {
+                    resp.headers.push(("retry-after".into(), "1".into()));
+                }
+                resp.write_to(&mut stream).unwrap();
+                stream.flush().unwrap();
+            }
+        });
+        let retries = AtomicU64::new(0);
+        let resp = request_unshed(addr, "GET", "/healthz", None, &retries).unwrap();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("retry-after"), None);
+        assert_eq!(retries.load(Ordering::Relaxed), 2);
+        server.join().unwrap();
     }
 
     #[test]

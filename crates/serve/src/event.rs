@@ -105,8 +105,8 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// The structured event sink shared by the accept loop, the job table,
-/// and the workers.
+/// The structured event sink shared by the connection handlers, the job
+/// table, and the workers.
 #[derive(Debug)]
 pub struct EventLog {
     file: Mutex<Option<BufWriter<File>>>,

@@ -257,11 +257,13 @@ pub fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         409 => "Conflict",
+        410 => "Gone",
         413 => "Payload Too Large",
         414 => "URI Too Long",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Response",
     }
 }

@@ -1,19 +1,39 @@
 //! Job specifications, states, and the bounded job table.
 //!
-//! The [`JobTable`] is the daemon's single source of truth: every
-//! submitted job lives in it from `POST /jobs` until process exit, so
-//! accounting is conservation-checked — the soak test asserts that
-//! submitted = done + failed + cancelled + queued + running at every
-//! observation point, i.e. no job is ever lost or duplicated.
+//! The [`JobTable`] is the daemon's single source of truth: a job lives
+//! in it from `POST /jobs` until it is evicted, at most
+//! [`RETAINED_JOBS`] terminal jobs later. Accounting is
+//! conservation-checked: at every observation point, `submitted` equals
+//! queued + running + done + failed + cancelled + evicted, i.e. no job
+//! is ever lost or duplicated, and the soak test asserts it.
+//!
+//! # Retention
+//!
+//! Terminal jobs are kept in finishing order, and once more than
+//! [`RETAINED_JOBS`] of them are resident the oldest-finished one is
+//! removed with its events and report. `Queued` and `Running` jobs are
+//! never evicted, so the table holds at most `RETAINED_JOBS` plus the
+//! queue bound plus the worker count. Ids are issued in order and never
+//! reused, so an id below the next one to be issued that is no longer
+//! resident is known to be evicted (the server answers `410 Gone`)
+//! without any per-id record.
+//!
+//! # Poisoning
+//!
+//! Every lock and condvar wait recovers the guard from a poisoned
+//! mutex, so a thread that panics under the lock cannot wedge the
+//! daemon. The lock is held only across plain bookkeeping, and `claim`
+//! skips a queued id that has no record rather than trusting the
+//! invariant.
 //!
 //! # Queueing and backpressure
 //!
 //! Admission is bounded: at most `bound` jobs may sit in `Queued` at
 //! once. A submit against a full queue is rejected immediately (the
 //! server turns that into `429` + `Retry-After`) rather than blocking
-//! the accept loop — a closed-loop client retries, an open-loop client
-//! sheds load. Workers block on a [`Condvar`] and drain the queue in
-//! FIFO order.
+//! a connection handler — a closed-loop client retries, an open-loop
+//! client sheds load. Workers block on a [`Condvar`] and drain the
+//! queue in FIFO order.
 //!
 //! # Cancellation
 //!
@@ -28,12 +48,16 @@ use crate::event::{EventLevel, EventLog, F};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use voltctl_check::json::escape;
 use voltctl_check::Json;
 use voltctl_exp::telemetry::Mode;
 use voltctl_exp::{Ctx, TraceSpec};
+
+/// Terminal jobs kept resident. Past this many, the oldest-finished
+/// terminal job is evicted, with its events and report.
+pub const RETAINED_JOBS: usize = 256;
 
 /// Everything a client can ask for on one job: the scenario plus the
 /// options the `voltctl-exp run` CLI exposes.
@@ -195,7 +219,7 @@ struct JobRecord {
     state: JobState,
     cancel: Arc<AtomicBool>,
     /// The request id assigned where the job entered the system (the
-    /// HTTP accept loop, or synthesized for direct table use). Threaded
+    /// connection handler, or synthesized for direct table use). Threaded
     /// into every event line the job emits.
     request_id: String,
     /// When the job entered the queue (for the queue-wait histogram).
@@ -214,7 +238,9 @@ struct JobRecord {
     cells_done: usize,
 }
 
-/// Aggregate counters for `GET /stats` and the soak oracle.
+/// Aggregate counters for `GET /stats` and the soak oracle. The state
+/// counts are of resident jobs; `evicted` is cumulative, so
+/// `submitted` equals their sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stats {
     pub submitted: u64,
@@ -226,6 +252,8 @@ pub struct Stats {
     pub queue_bound: usize,
     /// High-water mark of queue depth since startup.
     pub queue_depth_max: usize,
+    /// Terminal jobs removed by the retention bound since startup.
+    pub evicted: u64,
 }
 
 impl Stats {
@@ -233,7 +261,8 @@ impl Stats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"submitted\":{},\"queued\":{},\"running\":{},\"done\":{},\
-             \"failed\":{},\"cancelled\":{},\"queue_bound\":{},\"queue_depth_max\":{}}}",
+             \"failed\":{},\"cancelled\":{},\"queue_bound\":{},\"queue_depth_max\":{},\
+             \"evicted\":{}}}",
             self.submitted,
             self.queued,
             self.running,
@@ -241,8 +270,14 @@ impl Stats {
             self.failed,
             self.cancelled,
             self.queue_bound,
-            self.queue_depth_max
+            self.queue_depth_max,
+            self.evicted
         )
+    }
+
+    /// Jobs currently held by the table, in any state.
+    pub fn resident(&self) -> usize {
+        self.queued + self.running + self.done + self.failed + self.cancelled
     }
 }
 
@@ -310,14 +345,31 @@ pub enum JobOutcome {
 struct TableInner {
     jobs: BTreeMap<u64, JobRecord>,
     queue: VecDeque<u64>,
+    /// Resident terminal jobs, oldest-finished first.
+    finished: VecDeque<u64>,
     next_id: u64,
     submitted: u64,
+    evicted: u64,
     queue_depth_max: usize,
     shutdown: bool,
 }
 
-/// The bounded, condvar-signalled job table shared by the accept loop,
-/// the workers, and the streaming handlers.
+impl TableInner {
+    /// Records that `id` just became terminal and evicts the
+    /// oldest-finished terminal jobs past [`RETAINED_JOBS`].
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > RETAINED_JOBS {
+            if let Some(old) = self.finished.pop_front() {
+                self.jobs.remove(&old);
+                self.evicted += 1;
+            }
+        }
+    }
+}
+
+/// The bounded, condvar-signalled job table shared by the connection
+/// handlers and the workers.
 #[derive(Debug)]
 pub struct JobTable {
     inner: Mutex<TableInner>,
@@ -350,8 +402,10 @@ impl JobTable {
             inner: Mutex::new(TableInner {
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
                 submitted: 0,
+                evicted: 0,
                 queue_depth_max: 0,
                 shutdown: false,
             }),
@@ -367,8 +421,14 @@ impl JobTable {
         &self.log
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TableInner> {
-        self.inner.lock().expect("job table poisoned")
+    fn lock(&self) -> MutexGuard<'_, TableInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// True when `id` was handed out by [`submit`](JobTable::submit):
+    /// such an id that is no longer resident was evicted.
+    pub fn was_issued(&self, id: u64) -> bool {
+        id >= 1 && id < self.lock().next_id
     }
 
     /// Admits a job, returning its id, or refuses with backpressure.
@@ -447,7 +507,9 @@ impl JobTable {
         let mut inner = self.lock();
         loop {
             if let Some(id) = inner.queue.pop_front() {
-                let record = inner.jobs.get_mut(&id).expect("queued job must exist");
+                let Some(record) = inner.jobs.get_mut(&id) else {
+                    continue;
+                };
                 record.state = JobState::Running;
                 let now = Instant::now();
                 let queue_wait = now.duration_since(record.queued_at);
@@ -485,7 +547,7 @@ impl JobTable {
             inner = self
                 .changed
                 .wait(inner)
-                .expect("job table condvar poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -514,7 +576,7 @@ impl JobTable {
     pub fn finish(&self, id: u64, outcome: JobOutcome) {
         let mut inner = self.lock();
         let mut finished: Option<(JobState, Duration, String, Option<String>)> = None;
-        if let Some(record) = inner.jobs.get_mut(&id) {
+        if let Some(record) = inner.jobs.get_mut(&id).filter(|r| !r.state.is_terminal()) {
             let req = escape(&record.request_id);
             match outcome {
                 JobOutcome::Done(report, cells) => {
@@ -551,6 +613,7 @@ impl JobTable {
                 record.request_id.clone(),
                 record.error.clone(),
             ));
+            inner.retire(id);
         }
         drop(inner);
         if let Some((state, ran_for, request_id, error)) = finished {
@@ -593,6 +656,7 @@ impl JobTable {
                     "{{\"job\":{id},\"event\":\"cancelled\",\"req\":{}}}",
                     escape(&request_id)
                 ));
+                inner.retire(id);
             }
             JobState::Running => {
                 record.cancel.store(true, Ordering::Relaxed);
@@ -640,8 +704,8 @@ impl JobTable {
 
     /// Copies progress events from index `from` on, waiting up to
     /// `timeout` for news when none are pending. Returns the events and
-    /// whether the job has reached a terminal state. `None` for an
-    /// unknown id.
+    /// whether the job has reached a terminal state. `None` for an id
+    /// that is not resident, including one evicted during the wait.
     pub fn wait_events(
         &self,
         id: u64,
@@ -649,11 +713,11 @@ impl JobTable {
         timeout: Duration,
     ) -> Option<(Vec<String>, bool)> {
         let mut inner = self.lock();
-        inner.jobs.get(&id)?;
+        let mut timed_out = false;
         loop {
-            let record = inner.jobs.get(&id).expect("jobs are never removed");
+            let record = inner.jobs.get(&id)?;
             let terminal = record.state.is_terminal();
-            if record.events.len() > from || terminal {
+            if record.events.len() > from || terminal || timed_out {
                 return Some((
                     record.events[from.min(record.events.len())..].to_vec(),
                     terminal,
@@ -662,16 +726,9 @@ impl JobTable {
             let (guard, wait) = self
                 .changed
                 .wait_timeout(inner, timeout)
-                .expect("job table condvar poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
-            if wait.timed_out() {
-                let record = inner.jobs.get(&id).expect("jobs are never removed");
-                let terminal = record.state.is_terminal();
-                return Some((
-                    record.events[from.min(record.events.len())..].to_vec(),
-                    terminal,
-                ));
-            }
+            timed_out = wait.timed_out();
         }
     }
 
@@ -688,6 +745,7 @@ impl JobTable {
             cancelled: 0,
             queue_bound: self.bound,
             queue_depth_max: inner.queue_depth_max,
+            evicted: inner.evicted,
         };
         for record in inner.jobs.values() {
             match record.state {
@@ -705,6 +763,21 @@ impl JobTable {
     pub fn shutdown(&self) {
         self.lock().shutdown = true;
         self.changed.notify_all();
+    }
+}
+
+#[cfg(test)]
+impl JobTable {
+    /// Poisons the table lock: a thread panics while it holds it.
+    pub(crate) fn poison(&self) {
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = self.lock();
+                panic!("injected panic under the job-table lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(self.inner.is_poisoned());
     }
 }
 
@@ -858,5 +931,117 @@ mod tests {
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.queued, 1);
+    }
+
+    /// The books balance: every issued job is resident in exactly one
+    /// state or counted as evicted.
+    fn assert_balanced(table: &JobTable) -> Stats {
+        let stats = table.stats();
+        assert_eq!(
+            stats.submitted,
+            stats.resident() as u64 + stats.evicted,
+            "{stats:?}"
+        );
+        stats
+    }
+
+    #[test]
+    fn retention_evicts_oldest_terminal_job_and_never_a_live_one() {
+        const QUEUE: usize = 4;
+        let table = JobTable::new(QUEUE);
+        // One job held Running for the whole run: it must survive every
+        // eviction around it.
+        let pinned = table.submit(spec("pinned")).unwrap();
+        assert_eq!(table.claim().unwrap().id, pinned);
+        for cycle in 0..10_000u64 {
+            // Keep the queue full, then run its head to a terminal
+            // state: done, failed, or (queued) cancelled in turn.
+            while table.submit(spec("x")).is_ok() {}
+            let claimed = table.claim().unwrap();
+            let outcome = match cycle % 3 {
+                0 => JobOutcome::Done(b"r".to_vec(), 1),
+                1 => JobOutcome::Failed("boom".into()),
+                _ => JobOutcome::Cancelled(0),
+            };
+            table.finish(claimed.id, outcome);
+            let stats = assert_balanced(&table);
+            assert!(
+                stats.resident() <= RETAINED_JOBS + QUEUE + stats.running,
+                "cycle {cycle}: {stats:?}"
+            );
+            assert!(stats.done + stats.failed + stats.cancelled <= RETAINED_JOBS);
+            assert_eq!(table.snapshot(pinned).unwrap().state, JobState::Running);
+        }
+        let stats = assert_balanced(&table);
+        assert!(stats.evicted > 9_000, "{stats:?}");
+        // Cancelling a queued job retires it too.
+        let queued = table.submit(spec("x")).unwrap();
+        assert_eq!(table.cancel(queued), Some(JobState::Queued));
+        let after = assert_balanced(&table);
+        assert_eq!(after.evicted, stats.evicted + 1);
+        table.finish(pinned, JobOutcome::Done(Vec::new(), 0));
+        assert_eq!(assert_balanced(&table).evicted, stats.evicted + 2);
+    }
+
+    #[test]
+    fn eviction_order_is_finishing_order() {
+        let table = JobTable::new(2 * RETAINED_JOBS);
+        let ids: Vec<u64> = (0..RETAINED_JOBS + 2)
+            .map(|_| table.submit(spec("x")).unwrap())
+            .collect();
+        for _ in &ids {
+            table.claim().unwrap();
+        }
+        // Finish the first id last: it is then the newest terminal job.
+        for &id in ids[1..].iter().chain(&ids[..1]) {
+            table.finish(id, JobOutcome::Done(Vec::new(), 0));
+        }
+        let stats = assert_balanced(&table);
+        assert_eq!(stats.evicted, 2);
+        assert!(table.snapshot(ids[0]).is_some(), "finished last, kept");
+        assert!(table.snapshot(ids[1]).is_none(), "finished first, evicted");
+        assert!(table.snapshot(ids[2]).is_none(), "finished second, evicted");
+        assert!(table.snapshot(ids[3]).is_some());
+        // An evicted id was issued; one past the last issued never was.
+        assert!(table.was_issued(ids[1]));
+        assert!(!table.was_issued(0));
+        assert!(!table.was_issued(ids[ids.len() - 1] + 1));
+        assert!(table.report(ids[1]).is_none());
+        assert!(table.cancel(ids[1]).is_none());
+        // A stream that comes back for more events after its job was
+        // evicted gets `None` and ends.
+        assert!(table
+            .wait_events(ids[1], 0, Duration::from_millis(1))
+            .is_none());
+    }
+
+    #[test]
+    fn a_panic_under_the_table_lock_does_not_wedge_the_table() {
+        let table = Arc::new(JobTable::new(4));
+        let before = table.submit(spec("a")).unwrap();
+        table.poison();
+
+        let after = table.submit(spec("b")).unwrap();
+        assert_eq!(table.claim().unwrap().id, before);
+        table.finish(before, JobOutcome::Done(b"ok".to_vec(), 1));
+        let (events, terminal) = table
+            .wait_events(before, 0, Duration::from_millis(10))
+            .unwrap();
+        assert!(terminal);
+        assert!(events.last().unwrap().contains("\"done\""));
+        // A condvar wait on the poisoned mutex recovers its guard too.
+        // (The sleep makes it likely that the waiter is waiting when the
+        // claim lands; the result is the same either way.)
+        let waiter = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || table.wait_events(after, 1, Duration::from_secs(30)))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(table.claim().unwrap().id, after);
+        let (events, _) = waiter.join().unwrap().unwrap();
+        assert!(events[0].contains("running"));
+        let stats = assert_balanced(&table);
+        assert_eq!((stats.done, stats.running), (1, 1));
+        assert_eq!(table.report(before).unwrap(), b"ok");
     }
 }

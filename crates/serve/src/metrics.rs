@@ -5,14 +5,15 @@
 //!
 //! * **Accumulated** — counters and histograms updated as requests and
 //!   jobs flow (`voltctl_http_*`, queue-wait / run-duration histograms,
-//!   worker gauges). These live in the process-wide
+//!   worker and connection-handler gauges, shed connections). These live in the process-wide
 //!   [`Registry`](voltctl_telemetry::registry::Registry); handles are
 //!   resolved at request/shard boundaries, never inside the simulation
 //!   hot path — the bench ratio gate (`serve_vs_batch_ratio ≥ 0.9`)
 //!   pins that the instrumentation stays out of the measured loops.
 //! * **Scrape-derived** — values that already have a single source of
-//!   truth and are merely *read* at scrape time: queue depth and job
-//!   state counts from the [`JobTable`](crate::job::JobTable), and
+//!   truth and are merely *read* at scrape time: queue depth, job
+//!   state counts, resident and evicted jobs from the
+//!   [`JobTable`](crate::job::JobTable), and
 //!   hit/miss/eviction stats from the process-wide `voltctl-exp`
 //!   threshold-solve memo. Deriving them at scrape keeps the job table
 //!   the sole owner of queue accounting (no drift between `/stats` and
@@ -28,7 +29,7 @@ use crate::job::Stats;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Duration;
-use voltctl_telemetry::registry::{Gauge, Histogram, Registry};
+use voltctl_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 
 /// Every metric family `GET /metrics` declares, in exposition order.
 /// The integration test and the CI smoke gate assert each is present.
@@ -40,9 +41,14 @@ pub const DECLARED_FAMILIES: &[&str] = &[
     "voltctl_cache_misses_total",
     "voltctl_http_request_duration_ns",
     "voltctl_http_requests_total",
+    "voltctl_serve_connections_shed_total",
+    "voltctl_serve_handlers",
+    "voltctl_serve_handlers_busy",
     "voltctl_serve_job_run_ns",
     "voltctl_serve_jobs",
+    "voltctl_serve_jobs_evicted_total",
     "voltctl_serve_jobs_finished_total",
+    "voltctl_serve_jobs_resident",
     "voltctl_serve_jobs_submitted_total",
     "voltctl_serve_queue_bound",
     "voltctl_serve_queue_depth",
@@ -92,6 +98,12 @@ pub struct ServeMetrics {
     pub workers: Arc<Gauge>,
     /// Workers currently executing a job.
     pub workers_busy: Arc<Gauge>,
+    /// Connection handler threads (set at spawn).
+    pub handlers: Arc<Gauge>,
+    /// Handlers currently holding a connection.
+    pub handlers_busy: Arc<Gauge>,
+    /// Connections answered `503` because every other handler was busy.
+    pub connections_shed: Arc<Counter>,
 }
 
 /// The process-wide serve metrics handles.
@@ -114,6 +126,21 @@ pub fn global() -> &'static ServeMetrics {
             workers_busy: registry.gauge(
                 "voltctl_serve_workers_busy",
                 "Worker threads currently executing a job",
+                &[],
+            ),
+            handlers: registry.gauge(
+                "voltctl_serve_handlers",
+                "Connection handler threads, fixed at spawn",
+                &[],
+            ),
+            handlers_busy: registry.gauge(
+                "voltctl_serve_handlers_busy",
+                "Connection handler threads currently holding a connection",
+                &[],
+            ),
+            connections_shed: registry.counter(
+                "voltctl_serve_connections_shed_total",
+                "Connections answered 503 because every other handler was busy",
                 &[],
             ),
         }
@@ -187,6 +214,20 @@ pub fn render_scrape_derived(stats: &Stats) -> String {
     out.push_str(&format!(
         "voltctl_serve_jobs_submitted_total {}\n",
         stats.submitted
+    ));
+    out.push_str("# HELP voltctl_serve_jobs_resident Jobs the table holds, in any state\n");
+    out.push_str("# TYPE voltctl_serve_jobs_resident gauge\n");
+    out.push_str(&format!(
+        "voltctl_serve_jobs_resident {}\n",
+        stats.resident()
+    ));
+    out.push_str(
+        "# HELP voltctl_serve_jobs_evicted_total Terminal jobs removed by the retention bound\n",
+    );
+    out.push_str("# TYPE voltctl_serve_jobs_evicted_total counter\n");
+    out.push_str(&format!(
+        "voltctl_serve_jobs_evicted_total {}\n",
+        stats.evicted
     ));
     out.push_str("# HELP voltctl_serve_jobs Jobs currently in each lifecycle state\n");
     out.push_str("# TYPE voltctl_serve_jobs gauge\n");

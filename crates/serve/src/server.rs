@@ -1,8 +1,10 @@
-//! TCP accept loop, request routing, and the daemon's HTTP API.
+//! Connection handler pool, request routing, and the daemon's HTTP API.
 //!
-//! One thread accepts connections; each connection gets a short-lived
-//! handler thread (one request per connection, `connection: close`).
-//! Workers run jobs from the shared [`JobTable`]. The API:
+//! A fixed pool of [`HANDLERS`] threads serves connections (one request
+//! per connection, `connection: close`). Each handler blocks in
+//! `accept` on its own clone of the listener and serves what it accepts
+//! inline, so there is no accept thread, no polling and no thread per
+//! connection. Workers run jobs from the shared [`JobTable`]. The API:
 //!
 //! | Method | Path | Meaning |
 //! |---|---|---|
@@ -18,9 +20,25 @@
 //! | DELETE | `/jobs/<id>` | cooperative cancel |
 //! | POST | `/shutdown` | stop accepting, drain workers, exit |
 //!
+//! Every `/jobs/<id>` route answers `410 Gone` for an id the job
+//! table's retention bound has evicted, and `404` for an id that was
+//! never issued.
+//!
+//! # Bounds
+//!
 //! Read timeouts bound slowloris-style clients: a connection that goes
 //! quiet mid-request gets a 408 and is dropped; it can never wedge the
-//! daemon (the protocol fuzz suite pins this).
+//! daemon (the protocol fuzz suite pins this). The pool keeps its last
+//! idle handler for accepting: a handler that accepts while every other
+//! handler is busy answers `503` + `Retry-After` and closes, so at most
+//! `HANDLERS - 1` connections are served at once and the thread count
+//! is fixed at spawn. Each connection is served under `catch_unwind`,
+//! so a panicking request cannot shrink the pool.
+//!
+//! Shutdown (`POST /shutdown` or [`ServerHandle::stop`]) sets the stop
+//! flag, closes admission, and then makes one loopback connect per
+//! handler. Each connect wakes a handler blocked in `accept`, and a
+//! handler that accepts after the flag is set exits.
 //!
 //! # Observability
 //!
@@ -34,12 +52,13 @@
 
 use crate::event::{EventLevel, EventLog, F};
 use crate::http::{parse_request, Parse, Request, Response};
-use crate::job::{JobSpec, JobTable, SubmitError};
+use crate::job::{JobSpec, JobState, JobTable, SubmitError};
 use crate::runner::{worker_loop, RunnerConfig};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,6 +72,19 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 fn next_request_id() -> String {
     format!("r{}", NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed))
 }
+
+/// Connection handler threads per daemon, fixed at spawn. One is always
+/// kept free to accept, so at most `HANDLERS - 1` connections are
+/// served at once and the rest are shed with `503`.
+pub const HANDLERS: usize = 16;
+
+/// How long a shed connection is drained after its 503, so that closing
+/// it does not reset a client that is still sending its request.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
+
+/// Back-off after a failed `accept` (a connection reset before it was
+/// accepted, descriptor exhaustion), so a persistent error cannot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -84,85 +116,117 @@ impl Default for ServeConfig {
     }
 }
 
+/// What every connection handler shares.
+#[derive(Debug)]
+struct Shared {
+    table: Arc<JobTable>,
+    stop: AtomicBool,
+    /// Handlers holding a connection, serving or shedding it.
+    busy: AtomicUsize,
+    read_timeout: Duration,
+    /// Where a loopback connect reaches the listener.
+    wake_addr: SocketAddr,
+}
+
+impl Shared {
+    /// Sets the stop flag and closes admission, then wakes every handler
+    /// blocked in `accept` with one loopback connect each. Only the
+    /// first call does anything.
+    fn request_stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.table.shutdown();
+        for _ in 0..HANDLERS {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+}
+
 /// A running daemon: its bound address plus the handles needed to stop
 /// it and join its threads.
 #[derive(Debug)]
 pub struct ServerHandle {
     /// The actual bound address (resolves port 0).
     pub addr: SocketAddr,
-    table: Arc<JobTable>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    handlers: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The shared job table (tests observe stats through it).
     pub fn table(&self) -> &Arc<JobTable> {
-        &self.table
+        &self.shared.table
     }
 
     /// The daemon's structured event log (file sink at
     /// `<root>/events.jsonl` when it could be opened).
     pub fn log(&self) -> &Arc<EventLog> {
-        self.table.log()
+        self.shared.table.log()
     }
 
     /// True once `POST /shutdown` (or [`stop`](ServerHandle::stop)) has
     /// been seen.
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.shared.stopping()
     }
 
-    /// Requests shutdown without waiting.
+    /// Connection handler threads still running: [`HANDLERS`] until
+    /// shutdown.
+    pub fn handlers_live(&self) -> usize {
+        self.handlers.iter().filter(|h| !h.is_finished()).count()
+    }
+
+    /// Requests shutdown without waiting: no new connections are
+    /// served and no new jobs admitted.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.table.shutdown();
+        self.shared.request_stop();
     }
 
-    /// Stops the daemon and joins every thread. In-flight jobs finish;
-    /// queued jobs are still claimed and run before workers exit only
-    /// if already popped — the queue itself is drained by shutdown
-    /// semantics in [`JobTable::claim`] (remaining queued jobs are
-    /// claimed until the queue is empty, then workers exit).
+    /// Stops the daemon and joins every thread. Connections being
+    /// served finish (a stream ends when its job does). Workers claim
+    /// what is still queued until the queue is empty, run it, then exit.
     pub fn join(mut self) {
         self.stop();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        for thread in self.handlers.drain(..).chain(self.workers.drain(..)) {
+            let _ = thread.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.table
-            .log()
-            .emit(EventLevel::Info, "daemon.stopped", &[]);
+        self.log().emit(EventLevel::Info, "daemon.stopped", &[]);
     }
 }
 
-/// Binds, spawns the accept loop and `workers` worker threads, and
-/// returns immediately.
+/// Binds, spawns [`HANDLERS`] connection handlers and `workers` worker
+/// threads, and returns immediately.
 ///
 /// # Errors
 ///
-/// Propagates bind failures.
+/// Propagates bind and listener-clone failures.
 pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let listeners = (0..HANDLERS)
+        .map(|_| listener.try_clone())
+        .collect::<io::Result<Vec<_>>>()?;
+    drop(listener);
     std::fs::create_dir_all(&cfg.root)?;
 
     let log = Arc::new(EventLog::open(&cfg.root));
     let table = Arc::new(JobTable::with_log(cfg.queue_bound, Arc::clone(&log)));
-    let stop = Arc::new(AtomicBool::new(false));
-    crate::metrics::global()
-        .workers
-        .set(cfg.workers.max(1) as i64);
+    let metrics = crate::metrics::global();
+    metrics.workers.set(cfg.workers.max(1) as i64);
+    metrics.handlers.set(HANDLERS as i64);
     log.emit(
         EventLevel::Info,
         "daemon.listening",
         &[
             ("addr", F::s(addr.to_string())),
             ("workers", F::U(cfg.workers.max(1) as u64)),
+            ("handlers", F::U(HANDLERS as u64)),
             ("queue_bound", F::U(cfg.queue_bound as u64)),
             ("root", F::s(cfg.root.display().to_string())),
         ],
@@ -180,67 +244,93 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
         })
         .collect();
 
-    let accept = {
-        let table = Arc::clone(&table);
-        let stop = Arc::clone(&stop);
-        let read_timeout = cfg.read_timeout;
-        std::thread::spawn(move || {
-            accept_loop(listener, table, stop, read_timeout);
-        })
+    // A wildcard bind is reachable on loopback.
+    let wake_ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
     };
+    let shared = Arc::new(Shared {
+        table,
+        stop: AtomicBool::new(false),
+        busy: AtomicUsize::new(0),
+        read_timeout: cfg.read_timeout,
+        wake_addr: SocketAddr::new(wake_ip, addr.port()),
+    });
+    let handlers = listeners
+        .into_iter()
+        .map(|listener| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || handler_loop(&listener, &shared))
+        })
+        .collect();
 
     Ok(ServerHandle {
         addr,
-        table,
-        stop,
-        accept: Some(accept),
+        shared,
+        handlers,
         workers,
     })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    table: Arc<JobTable>,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let table = Arc::clone(&table);
-                let stop = Arc::clone(&stop);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, &table, &stop, read_timeout);
-                }));
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // 1ms poll: bounds per-connection accept latency well
-                // below any real job's runtime while still noticing the
-                // stop flag promptly.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+/// One pool thread: accept, then serve (or shed) that connection
+/// inline, until the stop flag is seen.
+fn handler_loop(listener: &TcpListener, shared: &Shared) {
+    let metrics = crate::metrics::global();
+    while !shared.stopping() {
+        let accepted = listener.accept();
+        if shared.stopping() {
+            return;
         }
+        let Ok((stream, _peer)) = accepted else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        let busy = shared.busy.fetch_add(1, Ordering::SeqCst) + 1;
+        metrics.handlers_busy.add(1);
+        if busy >= HANDLERS {
+            shed(stream, shared);
+        } else if catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared))).is_err() {
+            shared
+                .table
+                .log()
+                .emit(EventLevel::Error, "http.handler_panicked", &[]);
+        }
+        metrics.handlers_busy.add(-1);
+        shared.busy.fetch_sub(1, Ordering::SeqCst);
     }
-    for handler in handlers {
-        let _ = handler.join();
-    }
+}
+
+/// `503` + `Retry-After` for a connection that arrived while every other
+/// handler was busy. The request is not read; what the client sent is
+/// drained for at most [`SHED_DRAIN`] after the response.
+fn shed(mut stream: TcpStream, shared: &Shared) {
+    crate::metrics::global().connections_shed.inc();
+    let _ = stream.set_write_timeout(Some(SHED_DRAIN));
+    let _ = retry_later(503, "every connection handler is busy; retry later").write_to(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(SHED_DRAIN));
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    shared.table.log().emit(EventLevel::Debug, "http.shed", &[]);
+}
+
+/// An error response asking the client to come back in a second.
+fn retry_later(status: u16, detail: &str) -> Response {
+    let mut resp = Response::error(status, detail);
+    resp.headers.push(("retry-after".into(), "1".into()));
+    resp
 }
 
 /// Reads one request (incrementally, bounded, with timeout), routes it,
 /// writes one response, closes. Every outcome — including parse errors
 /// and timeouts — lands in the request metrics and the event log.
-fn handle_connection(
-    mut stream: TcpStream,
-    table: &Arc<JobTable>,
-    stop: &Arc<AtomicBool>,
-    read_timeout: Duration,
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    let table = &shared.table;
     let started = Instant::now();
     let request_id = next_request_id();
-    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
@@ -273,7 +363,7 @@ fn handle_connection(
         }
     };
     let route_name = crate::metrics::route_label(&request.target);
-    let status = route(&request, &mut stream, table, stop, &request_id);
+    let status = route(&request, &mut stream, shared, &request_id);
     record_request(
         table,
         &request_id,
@@ -320,15 +410,20 @@ fn job_path(target: &str) -> Option<(u64, &str)> {
     id.parse().ok().map(|id| (id, tail))
 }
 
+/// The answer for a job id that is not resident: `410 Gone` once the
+/// retention bound has evicted it, `404` for an id never issued.
+fn absent(table: &JobTable, id: u64) -> Response {
+    if table.was_issued(id) {
+        Response::error(410, "job was evicted by the retention bound")
+    } else {
+        Response::error(404, "no such job")
+    }
+}
+
 /// Routes one parsed request, writes the response, and returns the
 /// status code that went over the wire.
-fn route(
-    req: &Request,
-    stream: &mut TcpStream,
-    table: &Arc<JobTable>,
-    stop: &Arc<AtomicBool>,
-    request_id: &str,
-) -> u16 {
+fn route(req: &Request, stream: &mut TcpStream, shared: &Shared, request_id: &str) -> u16 {
+    let table = &shared.table;
     let (path, query) = match req.target.split_once('?') {
         Some((path, query)) => (path, query),
         None => (req.target.as_str(), ""),
@@ -340,8 +435,7 @@ fn route(
         ("GET", "/metrics") => metrics_response(table),
         ("POST", "/jobs") => submit(req, table, request_id),
         ("POST", "/shutdown") => {
-            stop.store(true, Ordering::Relaxed);
-            table.shutdown();
+            shared.request_stop();
             table.log().emit(
                 EventLevel::Info,
                 "daemon.shutdown_requested",
@@ -356,17 +450,17 @@ fn route(
             match (method, tail) {
                 ("GET", "") => match table.snapshot(id) {
                     Some(snap) => Response::json(200, snap.to_json()),
-                    None => Response::error(404, "no such job"),
+                    None => absent(table, id),
                 },
                 ("DELETE", "") => match table.cancel(id) {
                     Some(before) => Response::json(
                         200,
                         format!("{{\"id\":{id},\"was\":\"{}\"}}", before.name()),
                     ),
-                    None => Response::error(404, "no such job"),
+                    None => absent(table, id),
                 },
                 ("GET", "report") => match table.snapshot(id) {
-                    None => Response::error(404, "no such job"),
+                    None => absent(table, id),
                     Some(snap) => match table.report(id) {
                         Some(report) => Response {
                             status: 200,
@@ -374,6 +468,8 @@ fn route(
                             headers: Vec::new(),
                             body: report,
                         },
+                        // Evicted between the two lookups.
+                        None if snap.state == JobState::Done => absent(table, id),
                         None => Response::error(
                             409,
                             &format!("job is {}, report not available", snap.state.name()),
@@ -389,6 +485,9 @@ fn route(
                 _ => Response::error(405, "method not allowed"),
             }
         }
+        // Drives the pool's panic isolation in the unit tests.
+        #[cfg(test)]
+        ("GET", "/test/panic") => panic!("injected connection handler panic"),
         ("GET" | "POST" | "DELETE" | "HEAD" | "PUT" | "PATCH" | "OPTIONS", _) => {
             Response::error(404, "no such endpoint")
         }
@@ -482,11 +581,7 @@ fn submit(req: &Request, table: &Arc<JobTable>, request_id: &str) -> Response {
     }
     match table.submit_with_request(spec, Some(request_id)) {
         Ok(id) => Response::json(202, format!("{{\"id\":{id},\"state\":\"queued\"}}")),
-        Err(SubmitError::QueueFull) => {
-            let mut resp = Response::error(429, "job queue is full; retry later");
-            resp.headers.push(("retry-after".into(), "1".into()));
-            resp
-        }
+        Err(SubmitError::QueueFull) => retry_later(429, "job queue is full; retry later"),
         Err(SubmitError::ShuttingDown) => Response::error(409, "daemon is shutting down"),
     }
 }
@@ -497,7 +592,7 @@ fn submit(req: &Request, table: &Arc<JobTable>, request_id: &str) -> Response {
 /// the daemon-wide contract).
 fn stream_events(stream: &mut TcpStream, table: &Arc<JobTable>, id: u64) -> u16 {
     if table.snapshot(id).is_none() {
-        return finish(stream, Response::error(404, "no such job"));
+        return finish(stream, absent(table, id));
     }
     let head = "HTTP/1.1 200 OK\r\ncontent-type: application/jsonl\r\nconnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -505,6 +600,7 @@ fn stream_events(stream: &mut TcpStream, table: &Arc<JobTable>, id: u64) -> u16 
     }
     let mut from = 0;
     loop {
+        // `None`: the job was evicted mid-stream; the close ends it.
         let Some((events, terminal)) = table.wait_events(id, from, Duration::from_millis(250))
         else {
             return 200;
@@ -528,7 +624,7 @@ fn stream_events(stream: &mut TcpStream, table: &Arc<JobTable>, id: u64) -> u16 
 
 fn artifact_listing(table: &Arc<JobTable>, id: u64) -> Response {
     let Some(snap) = table.snapshot(id) else {
-        return Response::error(404, "no such job");
+        return absent(table, id);
     };
     let mut names: Vec<String> = Vec::new();
     if let Some(dir) = snap.artifact_dir {
@@ -553,7 +649,7 @@ fn artifact_body(table: &Arc<JobTable>, id: u64, name: &str) -> Response {
         return Response::error(400, "artifact name must be a plain file name");
     }
     let Some(snap) = table.snapshot(id) else {
-        return Response::error(404, "no such job");
+        return absent(table, id);
     };
     let Some(dir) = snap.artifact_dir else {
         return Response::error(404, "job has no artifacts yet");
@@ -566,5 +662,52 @@ fn artifact_body(table: &Arc<JobTable>, id: u64, name: &str) -> Response {
             body: bytes,
         },
         Err(_) => Response::error(404, "no such artifact"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::request;
+
+    #[test]
+    fn handler_panics_and_a_poisoned_table_leave_the_pool_whole() {
+        let root = std::env::temp_dir().join(format!("voltctl-serve-panic-{}", std::process::id()));
+        let handle = spawn(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_bound: 4,
+            root: root.clone(),
+            read_timeout: Duration::from_secs(5),
+            default_shards: 1,
+        })
+        .expect("daemon must start");
+        let addr = handle.addr;
+        handle.table().poison();
+
+        // One more panic than there are handlers: were a panic to end
+        // its thread, nothing would be left to accept.
+        for _ in 0..=HANDLERS {
+            assert!(
+                request(addr, "GET", "/test/panic", None).is_err(),
+                "a panicking handler closes without a response"
+            );
+        }
+        assert_eq!(request(addr, "GET", "/healthz", None).unwrap().status, 200);
+        assert_eq!(handle.handlers_live(), HANDLERS);
+
+        // The poisoned table still admits, runs and streams a job.
+        let submit = request(
+            addr,
+            "POST",
+            "/jobs",
+            Some(br#"{"scenario":"fig01_itrs","smoke":true}"#),
+        )
+        .unwrap();
+        assert_eq!(submit.status, 202, "{}", submit.text());
+        let stream = request(addr, "GET", "/jobs/1/stream", None).unwrap();
+        assert!(stream.text().contains("\"event\":\"done\""));
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
