@@ -22,9 +22,9 @@
 //!
 //! Every lock and condvar wait recovers the guard from a poisoned
 //! mutex, so a thread that panics under the lock cannot wedge the
-//! daemon. The lock is held only across plain bookkeeping, and `claim`
-//! skips a queued id that has no record rather than trusting the
-//! invariant.
+//! daemon. Recovery is sound because the lock is held only across
+//! plain bookkeeping that cannot panic halfway: no update leaves the
+//! table inconsistent.
 //!
 //! # Queueing and backpressure
 //!
@@ -507,9 +507,7 @@ impl JobTable {
         let mut inner = self.lock();
         loop {
             if let Some(id) = inner.queue.pop_front() {
-                let Some(record) = inner.jobs.get_mut(&id) else {
-                    continue;
-                };
+                let record = inner.jobs.get_mut(&id).expect("queued job must exist");
                 record.state = JobState::Running;
                 let now = Instant::now();
                 let queue_wait = now.duration_since(record.queued_at);
